@@ -42,13 +42,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Problem sizes per scale.  "smoke" mirrors the 12-region toy cities of
 #: the benchmark harness; "full" the NYC-like 67-region setting.
 SIZES = {
-    "smoke": dict(n_nodes=24, n_cols=96, order=3,
-                  gru_batch=32, gru_input=48, gru_hidden=48,
+    "smoke": dict(gru_batch=32, gru_input=48, gru_hidden=48,
                   rec_batch=4, rec_n=16, rec_rank=5, rec_k=8,
                   regions=12, batch=4, s=6, horizon=3, buckets=8,
                   repeats=10),
-    "full": dict(n_nodes=67, n_cols=536, order=3,
-                 gru_batch=64, gru_input=128, gru_hidden=128,
+    "full": dict(gru_batch=64, gru_input=128, gru_hidden=128,
                  rec_batch=8, rec_n=48, rec_rank=5, rec_k=8,
                  regions=32, batch=8, s=6, horizon=3, buckets=8,
                  repeats=3),
@@ -80,22 +78,6 @@ def _pair(fused_fn, reference_fn, repeats: int) -> dict:
 # ----------------------------------------------------------------------
 # kernel benches: forward + backward of one op
 # ----------------------------------------------------------------------
-def bench_cheb_propagate(sizes, rng) -> dict:
-    n, m, order = sizes["n_nodes"], sizes["n_cols"], sizes["order"]
-    lap = rng.normal(size=(n, n))
-    lap = (lap + lap.T) / 2.0
-    x = Tensor(rng.normal(size=(n, m)), requires_grad=True)
-    seed = np.ones((n, m, order))
-
-    def run(op):
-        x.zero_grad()
-        op(lap, x, order).backward(seed)
-
-    return _pair(lambda: run(ops.cheb_propagate),
-                 lambda: run(ops.cheb_propagate_reference),
-                 sizes["repeats"])
-
-
 def bench_fused_gru_gates(sizes, rng) -> dict:
     b, i, hdim = sizes["gru_batch"], sizes["gru_input"], sizes["gru_hidden"]
     joint = i + hdim
@@ -150,7 +132,6 @@ def bench_fused_masked_frobenius(sizes, rng) -> dict:
 
 
 KERNEL_BENCHES = {
-    "cheb_propagate": bench_cheb_propagate,
     "fused_gru_gates": bench_fused_gru_gates,
     "fused_softmax_recovery": bench_fused_softmax_recovery,
     "fused_masked_frobenius": bench_fused_masked_frobenius,

@@ -47,6 +47,11 @@ python3 benchmarks/serve_smoke.py || exit 1
 # Writes BENCH_SHARD.json at the repo root (see docs/SHARDING.md).
 python3 benchmarks/shard_smoke.py || exit 1
 
+# The paper-scale benchmark's own tests (percentile rule, span self
+# time, schedule determinism, BENCHMARK.json <-> run.py); they live
+# outside tier-1's testpaths (see perfbench/README.md).
+python3 -m pytest perfbench -q -p no:cacheprovider || exit 1
+
 # Kernel microbenchmarks first: fused vs. reference autodiff ops and
 # one AF/BF training step.  Writes BENCH_AUTODIFF.json at the repo root.
 python3 benchmarks/microbench.py \

@@ -72,11 +72,8 @@ GENERIC_SAFE = frozenset({
     "exp", "log", "sqrt", "sigmoid", "tanh", "relu", "softmax",
     "concat", "stack", "maximum", "abs_", "clip_min", "dropout", "where",
     "pad_axis", "take_axis", "_pool_axis",
-    "cheb_propagate", "cheb_conv",
-    "fused_gcnn_stage", "fused_latent_head", "fused_gru_gates",
-    "fused_cnrnn_cell",
+    "cheb_conv", "gcnn_encoder", "fused_gru_gates", "fused_cnrnn_cell",
     "fused_twin_cheb_conv", "fused_twin_cnrnn_cell",
-    "fused_twin_gcnn_stage", "fused_twin_latent_head",
     "fused_softmax_recovery", "fused_masked_frobenius",
     "dirichlet_energy",
 })
@@ -488,123 +485,6 @@ def _rule_twin_cheb_conv(build, out, run, spec):
     return instr, bwd_body, False
 
 
-def _rule_twin_gcnn_stage(build, out, run, spec):
-    _, d = spec
-    x = d["x"]
-    w_a, b_a, w_b, b_b = d["w_a"], d["b_a"], d["w_b"], d["b_b"]
-    order, stride = d["order"], d["stride"]
-    lap_b, lap_t = d["lap_b"], d["lap_t"]
-    real, perm_real = d["real"], d["perm_real"]
-    cluster_of_node, scale = d["cluster_of_node"], d["scale"]
-    perm_size = d["perm_size"]
-    # Fast path only for the stride-2 pooling the factorizer uses: a
-    # window of two sums as one pairwise add, bitwise the same as
-    # reshape(...).sum(axis); other layouts stay generic.
-    if stride != 2:
-        return None
-    two, batch, n, channels = x.shape
-    q = w_a.shape[-1]
-    dtype = out.data.dtype
-    if not _same_dtype(out, x, w_a, b_a, w_b, b_b):
-        return None
-
-    feats = _ChebFeatsBuf(build, lap_b, (two, batch, n, channels), dtype,
-                          order)
-    w2, fill_w2 = build.staged_buf(("w2", id(w_a), id(w_b)),
-                                   (two, channels * order, q), dtype)
-    b2, fill_b2 = build.staged_buf(("b2", id(b_a), id(b_b)),
-                                   (two, q), dtype)
-    b2_flat = b2[:, None]
-    pre = build.alloc((two, batch * n, q), dtype)
-    # Bias + ReLU run in place on the contiguous GEMM output; ``act`` is
-    # just its 4-D view (same values eager materializes separately).
-    pre_v = pre.reshape(two, batch, n, q)
-    act = pre_v
-    act_ext = src0 = src1 = take0 = take1 = None
-    if perm_size is None:
-        # No pad/permute: the pooling pair is just even/odd row views.
-        pool0 = act[:, :, 0::2]
-        pool1 = act[:, :, 1::2]
-    else:
-        src = np.full(perm_size, n, dtype=np.intp)
-        src[real] = perm_real
-        clusters = perm_size // 2
-        if perm_size == n and bool(real.all()):
-            # Pure permutation, no pad slots: gather pairs directly
-            # from the activations.
-            src0 = np.ascontiguousarray(src[0::2])
-            src1 = np.ascontiguousarray(src[1::2])
-            gather_src = act
-        else:
-            # Pad slots exist: activations are copied into rows [0, n)
-            # of an (n+1)-row buffer whose last row is permanently
-            # zero; gather indices route pad slots there, so padded
-            # positions contribute exact zeros (eager writes real
-            # activations into a zeroed scatter buffer — same values).
-            act_ext = build.zeros((two, batch, n + 1, q), dtype)
-            src0 = np.ascontiguousarray(src[0::2])
-            src1 = np.ascontiguousarray(src[1::2])
-            gather_src = act_ext
-        take0 = build.alloc((two, batch, clusters, q), dtype)
-        take1 = build.alloc((two, batch, clusters, q), dtype)
-        pool0, pool1 = take0, take1
-    buf = out.data
-
-    def instr():
-        if fill_w2:
-            np.copyto(w2[0], w_a.data)
-            np.copyto(w2[1], w_b.data)
-        if fill_b2:
-            np.copyto(b2[0], b_a.data)
-            np.copyto(b2[1], b_b.data)
-        feats.run(x.data)
-        np.matmul(feats.feats, w2, out=pre)
-        np.add(pre, b2_flat, out=pre)
-        np.maximum(pre, 0.0, out=pre)
-        if take0 is not None:
-            if act_ext is not None:
-                np.copyto(act_ext[:, :, :n], act)
-            np.take(gather_src, src0, axis=2, out=take0)
-            np.take(gather_src, src1, axis=2, out=take1)
-        np.add(pool0, pool1, out=buf)
-        np.multiply(buf, scale, out=buf)
-
-    feats_t = np.swapaxes(feats.feats, -1, -2)
-    adjoint = _ChebAdjointBuf(build, lap_t, w2, (two, batch, n, channels),
-                              order, dtype)
-    gscaled = build.alloc(out.shape, dtype)
-    dact = build.alloc((two, batch, n, q), dtype)
-    relu_mask = build.alloc((two, batch, n, q), bool)
-    gm = dact.reshape(two, batch * n, q)
-    dw = build.alloc((two, channels * order, q), dtype)
-    db = build.alloc((two, q), dtype)
-    wg = w_a.requires_grad or w_b.requires_grad
-    bg = b_a.requires_grad or b_b.requires_grad
-    xg = x.requires_grad
-
-    def bwd_body(grad):
-        np.multiply(grad, scale, out=gscaled)
-        np.take(gscaled, cluster_of_node, axis=2, out=dact)
-        np.greater(act, 0, out=relu_mask)
-        np.multiply(dact, relu_mask, out=dact)
-        if wg:
-            np.matmul(feats_t, gm, out=dw)
-            if w_a.requires_grad:
-                w_a._accumulate(dw[0])
-            if w_b.requires_grad:
-                w_b._accumulate(dw[1])
-        if bg:
-            np.add.reduce(gm, axis=1, out=db)
-            if b_a.requires_grad:
-                b_a._accumulate(db[0])
-            if b_b.requires_grad:
-                b_b._accumulate(db[1])
-        if xg:
-            x._accumulate(adjoint.run(gm))
-
-    return instr, bwd_body, False
-
-
 def _rule_twin_cnrnn_cell(build, out, run, spec):
     _, d = spec
     x, h = d["x"], d["h"]
@@ -912,116 +792,6 @@ def _rule_gru_gates(build, out, run, spec):
     return instr, bwd_body, False
 
 
-def _rule_latent_head(build, out, run, spec):
-    _, d = spec
-    x = d["x"]
-    wb_a, bb_a, wl_a, bl_a = d["head_a"]
-    wb_b, bb_b, wl_b, bl_b = d["head_b"]
-    dtype = out.data.dtype
-    heads = d["head_a"] + d["head_b"]
-    if not _same_dtype(out, x, *heads):
-        return None
-    two, b, p, cdim = x.shape
-    k = wb_a.shape[-1]
-    rank = wl_a.shape[-1]
-
-    w_buckets, fill_wb = build.staged_buf(
-        ("w_buckets", id(wb_a), id(wb_b)), (two, 1, cdim, k), dtype)
-    b_buckets, fill_bb = build.staged_buf(
-        ("b_buckets", id(bb_a), id(bb_b)), (two, k), dtype)
-    w_latent, fill_wl = build.staged_buf(
-        ("w_latent", id(wl_a), id(wl_b)), (two, 1, p, rank), dtype)
-    b_latent, fill_bl = build.staged_buf(
-        ("b_latent", id(bl_a), id(bl_b)), (two, rank), dtype)
-    bb_bc = b_buckets[:, None, None]
-    bl_bc = b_latent[:, None, None]
-    t_mul = build.alloc((two, b, p, k), dtype)
-    t_buf = build.alloc((two, b, p, k), dtype)
-    tt = np.swapaxes(t_buf, -1, -2)
-    z_mul = build.alloc((two, b, k, rank), dtype)
-    z_buf = build.alloc((two, b, k, rank), dtype)
-    z_t = np.swapaxes(z_buf, -1, -2)
-    buf = out.data
-
-    def instr():
-        if fill_wb:
-            np.copyto(w_buckets[0, 0], wb_a.data)
-            np.copyto(w_buckets[1, 0], wb_b.data)
-        if fill_bb:
-            np.copyto(b_buckets[0], bb_a.data)
-            np.copyto(b_buckets[1], bb_b.data)
-        if fill_wl:
-            np.copyto(w_latent[0, 0], wl_a.data)
-            np.copyto(w_latent[1, 0], wl_b.data)
-        if fill_bl:
-            np.copyto(b_latent[0], bl_a.data)
-            np.copyto(b_latent[1], bl_b.data)
-        np.matmul(x.data, w_buckets, out=t_mul)
-        np.add(t_mul, bb_bc, out=t_buf)
-        np.matmul(tt, w_latent, out=z_mul)
-        np.add(z_mul, bl_bc, out=z_buf)
-        np.copyto(buf, z_t)
-
-    gz2 = build.alloc((two, b * k, rank), dtype)
-    gz2_v = gz2.reshape(two, b, k, rank)
-    tt2 = build.alloc((two, b * k, p), dtype)
-    tt2_v = tt2.reshape(two, b, k, p)
-    tt2_t = np.swapaxes(tt2, -1, -2)
-    dwl = build.alloc((two, p, rank), dtype)
-    dbl = build.alloc((two, rank), dtype)
-    w_latent_t = np.swapaxes(w_latent, -1, -2)
-    dt_mul = build.alloc((two, b, k, p), dtype)
-    dt = np.swapaxes(dt_mul, -1, -2)
-    dt2 = build.alloc((two, b * p, k), dtype)
-    dt2_v = dt2.reshape(two, b, p, k)
-    dwb = build.alloc((two, cdim, k), dtype)
-    dbb = build.alloc((two, k), dtype)
-    w_buckets_t = np.swapaxes(w_buckets, -1, -2)
-    dx = build.alloc((two, b, p, cdim), dtype)
-    wl_g = wl_a.requires_grad or wl_b.requires_grad
-    bl_g = bl_a.requires_grad or bl_b.requires_grad
-    wb_g = wb_a.requires_grad or wb_b.requires_grad
-    bb_g = bb_a.requires_grad or bb_b.requires_grad
-    xg = x.requires_grad
-
-    def bwd_body(grad):
-        gz = np.swapaxes(grad, -1, -2)
-        np.copyto(gz2_v, gz)
-        if wl_g:
-            np.copyto(tt2_v, tt)
-            np.matmul(tt2_t, gz2, out=dwl)
-            if wl_a.requires_grad:
-                wl_a._accumulate(dwl[0])
-            if wl_b.requires_grad:
-                wl_b._accumulate(dwl[1])
-        if bl_g:
-            np.add.reduce(gz2, axis=1, out=dbl)
-            if bl_a.requires_grad:
-                bl_a._accumulate(dbl[0])
-            if bl_b.requires_grad:
-                bl_b._accumulate(dbl[1])
-        np.matmul(gz, w_latent_t, out=dt_mul)
-        np.copyto(dt2_v, dt)
-        if wb_g:
-            x2_t = np.swapaxes(x.data.reshape(two, -1, cdim), -1, -2)
-            np.matmul(x2_t, dt2, out=dwb)
-            if wb_a.requires_grad:
-                wb_a._accumulate(dwb[0])
-            if wb_b.requires_grad:
-                wb_b._accumulate(dwb[1])
-        if bb_g:
-            np.add.reduce(dt2, axis=1, out=dbb)
-            if bb_a.requires_grad:
-                bb_a._accumulate(dbb[0])
-            if bb_b.requires_grad:
-                bb_b._accumulate(dbb[1])
-        if xg:
-            np.matmul(dt, w_buckets_t, out=dx)
-            x._accumulate(dx)
-
-    return instr, bwd_body, False
-
-
 def _rule_softmax_recovery(build, out, run, spec):
     _, d = spec
     r, c = d["r"], d["c"]
@@ -1127,10 +897,8 @@ _RULES: Dict[str, Callable] = {
     "getitem": _rule_getitem,
     "dropout": _rule_dropout,
     "fused_twin_cheb_conv": _rule_twin_cheb_conv,
-    "fused_twin_gcnn_stage": _rule_twin_gcnn_stage,
     "fused_twin_cnrnn_cell": _rule_twin_cnrnn_cell,
     "fused_gru_gates": _rule_gru_gates,
-    "fused_twin_latent_head": _rule_latent_head,
     "fused_softmax_recovery": _rule_softmax_recovery,
     "fused_masked_frobenius": _rule_masked_frobenius,
 }

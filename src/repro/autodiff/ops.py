@@ -19,7 +19,8 @@ runs when the op is built (eager and capture), not on replay.
 from __future__ import annotations
 
 import contextlib
-from typing import Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -513,59 +514,6 @@ def _constant_array(value: Union[Tensor, np.ndarray]) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Chebyshev propagation (ChebConv's recursion, paper Eq. 5)
 # ----------------------------------------------------------------------
-def cheb_propagate(lap: Union[Tensor, np.ndarray], x: Tensor,
-                   order: int) -> Tensor:
-    """All ``order`` Chebyshev terms of ``x`` on ``lap`` as one node.
-
-    Forward: ``T_0 = x``, ``T_1 = L x``, ``T_s = 2 L T_{s-1} - T_{s-2}``,
-    stacked along a new trailing axis — output ``(N, M, order)`` for input
-    ``x (N, M)``.  ``lap`` is a graph constant (no gradient).  Backward
-    runs the recursion's adjoint: sweeping ``s`` downward, the adjoint of
-    ``T_s`` adds ``2 L^T a_s`` to ``T_{s-1}`` and ``-a_s`` to ``T_{s-2}``.
-    """
-    if order < 1:
-        raise ValueError(f"Chebyshev order must be >= 1, got {order}")
-    if not fused_enabled():
-        return cheb_propagate_reference(lap, x, order)
-    x = _ensure_tensor(x)
-    if x.ndim != 2:
-        raise ValueError(f"cheb_propagate expects a 2-D signal, "
-                         f"got shape {x.shape}")
-    lap_data = _constant_array(lap)
-    if lap_data.shape != (x.shape[0], x.shape[0]):
-        raise ValueError(
-            f"Laplacian shape {lap_data.shape} does not match signal with "
-            f"{x.shape[0]} nodes")
-    lap_t = lap_data.T
-
-    def run() -> np.ndarray:
-        terms = [x.data]
-        if order > 1:
-            terms.append(lap_data @ x.data)
-        for _ in range(2, order):
-            t = lap_data @ terms[-1]
-            t *= 2.0
-            t -= terms[-2]
-            terms.append(t)
-        return np.stack(terms, axis=-1)
-
-    def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        # Own a contiguous copy: the adjoint sweep accumulates in place.
-        adj = np.ascontiguousarray(grad.transpose(2, 0, 1))
-        for s in range(order - 1, 1, -1):
-            adj[s - 1] += 2.0 * (lap_t @ adj[s])
-            adj[s - 2] -= adj[s]
-        if order > 1:
-            adj[0] += lap_t @ adj[1]
-        x._accumulate(adj[0])
-
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
-
-
 def cheb_propagate_reference(lap: Union[Tensor, np.ndarray], x: Tensor,
                              order: int) -> Tensor:
     """Unfused Chebyshev recursion from primitive ops (ground truth)."""
@@ -750,176 +698,197 @@ def cheb_conv_reference(lap: Union[Tensor, np.ndarray], x: Tensor,
 
 
 # ----------------------------------------------------------------------
-# Fused GCNN encoder stage (paper §V-A: ChebConv + ReLU + pooling)
+# Stage-1 GCNN encoder (paper §V-A: Cheby-Net + ReLU + geometrical
+# pooling per stage, then the latent head), node-last layout
 # ----------------------------------------------------------------------
-def fused_gcnn_stage(lap: Union[Tensor, np.ndarray], x: Tensor,
-                     weight: Tensor, bias: Tensor, order: int,
-                     stride: int = 1, perm: np.ndarray = None,
-                     inv_counts: np.ndarray = None) -> Tensor:
-    """One factorizer stage — conv, ReLU, cluster pooling — as one node.
+@dataclass(frozen=True)
+class EncoderStage:
+    """Constants and parameters of one conv+ReLU+pool encoder stage.
 
-    ``x (B, N, C)`` runs through a Cheby-Net convolution (Eq. 5), ReLU,
-    an optional pad-and-permute into cluster order (``perm``, the
-    coarsening's padded permutation), and mean pooling over
-    non-overlapping windows of ``stride`` nodes scaled by ``inv_counts``
-    (1 / real nodes per cluster, 0 for all-fake clusters).  ``stride=1``
-    skips pooling.  This is :class:`repro.core.spatial.SpatialFactorizer`'s
-    hot path; the ~10-node primitive composition is kept in
-    :func:`fused_gcnn_stage_reference`.
+    ``lap`` is the stage graph's ``(n, n)`` scaled Laplacian.  ``pool``
+    is the ``(n, P)`` mean-pooling matrix: ``1/count`` where node ``j``
+    is a *real* member of cluster ``p`` (fake padding nodes belong to no
+    cluster), else 0; ``None`` means no pooling.  ``weight (C·order, Q)``
+    keeps ChebConv's ``c·order + s`` row order.
     """
-    if not fused_enabled():
-        return fused_gcnn_stage_reference(lap, x, weight, bias, order,
-                                          stride=stride, perm=perm,
-                                          inv_counts=inv_counts)
+
+    lap: np.ndarray
+    pool: Optional[np.ndarray]
+    weight: Tensor
+    bias: Tensor
+    order: int
+
+
+class GCNNEncoder:
+    """One side's stage-1 encoder as a raw-array ``op``/``adj_op`` pair.
+
+    Signals are node-last, ``(channels, slices, nodes)``, so every step
+    of the stage is a GEMM over all slices at once and no step needs a
+    relayout:
+
+    * Chebyshev terms, straight into a ``(C, S, M, n)`` buffer:
+      ``F[c, s] = 2·F[c, s-1] @ Lᵀ − F[c, s-2]``;
+    * channel mix ``Wᵀ (Q, C·S) @ F (C·S, M·n)``, bias and ReLU in place;
+    * pooling ``act (Q, M, n) @ pool (n, P)``, written straight into the
+      next stage's term buffer;
+    * latent head ``W_bᵀ @ x`` then ``(K·M, P) @ W_l``.
+
+    The adjoint runs the same GEMMs transposed — right-multiplied by
+    ``L`` and ``poolᵀ``.  :func:`gcnn_encoder` wraps the pair as one
+    autodiff node; the sharded executor calls it on slice-row chunks.
+    Stride-2 mean pooling weighs each node by 1 or 1/2, both exact, so
+    its GEMM equals the primitive composition's add-then-halve bit for
+    bit.
+    """
+
+    def __init__(self, stages: Sequence[EncoderStage], w_buckets: Tensor,
+                 b_buckets: Tensor, w_latent: Tensor, b_latent: Tensor):
+        self.stages = tuple(stages)
+        self.w_buckets, self.b_buckets = w_buckets, b_buckets
+        self.w_latent, self.b_latent = w_latent, b_latent
+        self.params = tuple(p for st in self.stages
+                            for p in (st.weight, st.bias)) \
+            + (w_buckets, b_buckets, w_latent, b_latent)
+        first = self.stages[0]
+        self.in_channels = first.weight.shape[0] // first.order
+        self.n_nodes = first.lap.shape[0]
+        # The adjoint's un-pooling GEMM reads poolᵀ row-major.
+        self._pool_t = [None if st.pool is None
+                        else np.ascontiguousarray(st.pool.T)
+                        for st in self.stages]
+
+    def op(self, x: np.ndarray):
+        """``x (C, *rows, n)`` → ``(out (K, *rows, R), cache)``.
+
+        ``cache`` is the flat list of arrays :meth:`adj_op` reads — per
+        stage the term buffer and the post-ReLU activations, then the
+        head's input and its bucket projection.  Every one keeps the
+        slices on axis -2, so the sharded executor can scatter chunk
+        caches into dense ones row by row.
+        """
+        rows = x.shape[1:-1]
+        m = int(np.prod(rows, dtype=np.int64))
+        dtype = np.result_type(x.dtype, *(p.data.dtype for p in self.params))
+        feats = np.empty((self.in_channels, self.stages[0].order)
+                         + x.shape[1:], dtype=dtype)
+        feats[:, 0] = x
+        feats = feats.reshape(feats.shape[:2] + (m, self.n_nodes))
+        cache = []
+        for index, st in enumerate(self.stages):
+            channels, order, _, n = feats.shape
+            lap_t = st.lap.astype(dtype, copy=False).T
+            # Each product writes straight into its term slot (one GEMM
+            # per channel, looped inside numpy).  Scaling by 2 is exact,
+            # so (2Lᵀ) folds the recursion's doubling into the GEMM.
+            if order > 1:
+                np.matmul(feats[:, 0], lap_t, out=feats[:, 1])
+            for s in range(2, order):
+                np.matmul(feats[:, s - 1], 2.0 * lap_t, out=feats[:, s])
+                feats[:, s] -= feats[:, s - 2]
+            q = st.weight.shape[1]
+            act = st.weight.data.T @ feats.reshape(channels * order, m * n)
+            act += st.bias.data[:, None]
+            np.maximum(act, 0.0, out=act)
+            act = act.reshape(q, m, n)
+            cache += [feats, act]
+            if index + 1 == len(self.stages):
+                pooled = act if st.pool is None \
+                    else act @ st.pool.astype(dtype, copy=False)
+                break
+            width = n if st.pool is None else st.pool.shape[1]
+            feats = np.empty((q, self.stages[index + 1].order, m, width),
+                             dtype=dtype)
+            if st.pool is None:
+                feats[:, 0] = act
+            else:
+                np.matmul(act, st.pool.astype(dtype, copy=False),
+                          out=feats[:, 0])
+        t = self.w_buckets.data.T @ pooled.reshape(pooled.shape[0], -1)
+        t += self.b_buckets.data[:, None]
+        z = t.reshape(t.shape[0] * m, -1) @ self.w_latent.data
+        z += self.b_latent.data
+        out = z.reshape((t.shape[0],) + rows + (z.shape[-1],))
+        cache += [pooled, t.reshape(t.shape[0], m, -1)]
+        return out, cache
+
+    def adj_op(self, grad: np.ndarray, cache, input_grad: bool = False):
+        """Adjoint of :meth:`op`: ``grad (K, *rows, R)`` → ``(grads,
+        dx)`` with ``grads`` aligned to :attr:`params` and ``dx`` shaped
+        like ``op``'s input (``None`` unless ``input_grad``)."""
+        pooled, t = cache[-2:]
+        dtype = pooled.dtype
+        k, rank = grad.shape[0], grad.shape[-1]
+        channels, m, width = pooled.shape
+        gz = grad.reshape(k * m, rank)
+        d_latent = t.reshape(k * m, width).T @ gz
+        db_latent = np.add.reduce(gz, axis=0)
+        dt = (gz @ self.w_latent.data.T).reshape(k, m * width)
+        d_buckets = pooled.reshape(channels, m * width) @ dt.T
+        db_buckets = np.add.reduce(dt, axis=1)
+        g = (self.w_buckets.data @ dt).reshape(channels, m, width)
+        grads = [d_buckets, db_buckets, d_latent, db_latent]
+        for index in range(len(self.stages) - 1, -1, -1):
+            st = self.stages[index]
+            feats, act = cache[2 * index:2 * index + 2]
+            c_in, order, _, n = feats.shape
+            q = act.shape[0]
+            pool_t = self._pool_t[index]
+            if pool_t is None:
+                dact = g * (act > 0)
+            else:
+                dact = np.matmul(g, pool_t.astype(dtype, copy=False))
+                dact *= act > 0
+            dact = dact.reshape(q, m * n)
+            grads[:0] = [feats.reshape(c_in * order, m * n) @ dact.T,
+                         np.add.reduce(dact, axis=1)]
+            if index == 0 and not input_grad:
+                return grads, None
+            dfeats = (st.weight.data @ dact).reshape(c_in, order, m, n)
+            lap = st.lap.astype(dtype, copy=False)
+            for s in range(order - 1, 1, -1):
+                dfeats[:, s - 1] += np.matmul(dfeats[:, s], 2.0 * lap)
+                dfeats[:, s - 2] -= dfeats[:, s]
+            if order > 1:
+                dfeats[:, 0] += np.matmul(dfeats[:, 1], lap)
+            g = dfeats[:, 0]
+        return grads, np.ascontiguousarray(g).reshape(
+            (c_in,) + grad.shape[1:-1] + (n,))
+
+
+def gcnn_encoder(x: Tensor, encoder: GCNNEncoder) -> Tensor:
+    """A whole stage-1 encoder side as one autodiff node.
+
+    ``x (C, *rows, n)`` is node-last (channels, slices, graph nodes);
+    the output is ``(K, *rows, R)``.  Forward and backward are
+    :meth:`GCNNEncoder.op` / :meth:`GCNNEncoder.adj_op`; the reference
+    is the factorizer's primitive composition under ``use_fused(False)``.
+    """
     x = _ensure_tensor(x)
-    if x.ndim != 3:
-        raise ValueError(f"fused_gcnn_stage expects (batch, N, C) input, "
-                         f"got shape {x.shape}")
-    lap_data = _constant_array(lap)
-    batch, n, channels = x.shape
-    q = weight.shape[-1]
-    dtype = x.data.dtype
-    if perm is not None:
-        real = perm < n
-        perm_real = perm[real]
-        # Undo the pad-and-permute: original node j sits at the padded
-        # position holding value perm[...] == j; dividing by the pool
-        # stride maps it straight to its cluster.
-        inverse = np.empty(n, dtype=np.intp)
-        inverse[perm_real] = np.nonzero(real)[0]
-        cluster_of_node = inverse // stride
-    else:
-        real = perm_real = None
-        cluster_of_node = np.arange(n, dtype=np.intp) // stride
-    scale = inv_counts.astype(dtype, copy=False)[:, None] \
-        if stride > 1 else None
-    lap_t = lap_data.T
-    feats = None
-    act = None
+    if x.ndim < 3 or x.shape[0] != encoder.in_channels \
+            or x.shape[-1] != encoder.n_nodes:
+        raise ValueError(
+            f"gcnn_encoder expects ({encoder.in_channels}, ..., "
+            f"{encoder.n_nodes}) node-last input, got shape {x.shape}")
+    params = encoder.params
+    cache = None
 
     def run() -> np.ndarray:
-        nonlocal feats, act
-        terms = _cheb_terms(lap_data, x.data, order)
-        feats = _cheb_feats(terms, order)               # (B*N, C*S)
-        act = (feats @ weight.data).reshape(batch, n, q)
-        act += bias.data
-        np.maximum(act, 0.0, out=act)
-        if perm is not None:
-            pooled_src = np.zeros((batch, perm.size, q), dtype=act.dtype)
-            pooled_src[:, real] = act[:, perm_real]
-        else:
-            pooled_src = act
-        if stride > 1:
-            m = pooled_src.shape[1]
-            out_data = pooled_src.reshape(batch, m // stride, stride,
-                                          q).sum(axis=2)
-            out_data *= scale
-        else:
-            out_data = pooled_src
+        nonlocal cache
+        out_data, cache = encoder.op(x.data)
         return out_data
 
     def backward(grad: np.ndarray) -> None:
-        # Each original node's grad is its cluster's (scaled) grad: one
-        # fancy gather instead of materializing the broadcast + un-permute.
-        if stride > 1:
-            scaled = grad * scale
-            dact = scaled[:, cluster_of_node]
-            dact *= act > 0                         # ReLU mask, in place
-        elif perm is not None:
-            dact = grad[:, cluster_of_node]
-            dact *= act > 0
-        else:
-            dact = grad * (act > 0)
-        gm = dact.reshape(batch * n, q)
-        if weight.requires_grad:
-            weight._accumulate(feats.T @ gm)
-        if bias.requires_grad:
-            bias._accumulate(gm.sum(axis=0))
-        if x.requires_grad:
-            x._accumulate(_cheb_adjoint(
-                lap_t, gm, weight.data, (batch, n, channels), order))
+        grads, dx = encoder.adj_op(grad, cache,
+                                   input_grad=x.requires_grad)
+        for param, g in zip(params, grads):
+            if param.requires_grad:
+                param._accumulate(g)
+        if dx is not None:
+            x._accumulate(dx)
 
-    out = Tensor._make(_run_forward(run), (x, weight, bias), backward)
+    out = Tensor._make(_run_forward(run), (x,) + params, backward)
     _record(out, run)
     return out
-
-
-def fused_gcnn_stage_reference(lap: Union[Tensor, np.ndarray], x: Tensor,
-                               weight: Tensor, bias: Tensor, order: int,
-                               stride: int = 1, perm: np.ndarray = None,
-                               inv_counts: np.ndarray = None) -> Tensor:
-    """Unfused conv+ReLU+pool stage from primitive ops (ground truth)."""
-    y = relu(cheb_conv_reference(lap, x, weight, bias, order))
-    if perm is not None:
-        y = pad_axis(y, 1, 0, perm.size - y.shape[1])
-        y = take_axis(y, np.asarray(perm, dtype=np.intp), 1)
-    if stride > 1:
-        y = mean_pool_axis(y, 1, stride)
-        y = y * (np.asarray(inv_counts) * stride).reshape(1, -1, 1)
-    return y
-
-
-def fused_latent_head(x: Tensor, w_buckets: Tensor, b_buckets: Tensor,
-                      w_latent: Tensor, b_latent: Tensor) -> Tensor:
-    """The factorizer's two-GEMM latent head as one node.
-
-    ``x (B, P, C)`` → bucket projection on the channel axis
-    (``w_buckets (C, K)``), transpose, latent projection on the cluster
-    axis (``w_latent (P, R)``), transpose back → ``(B, R, K)`` — the
-    linear → transpose → linear → transpose tail of
-    :class:`repro.core.spatial.SpatialFactorizer`.
-    """
-    if not fused_enabled():
-        return fused_latent_head_reference(x, w_buckets, b_buckets,
-                                           w_latent, b_latent)
-    x = _ensure_tensor(x)
-    k = w_buckets.shape[-1]
-    rank = w_latent.shape[-1]
-    tt = None
-
-    def run() -> np.ndarray:
-        nonlocal tt
-        t = x.data @ w_buckets.data + b_buckets.data    # (B, P, K)
-        tt = t.transpose(0, 2, 1)                       # (B, K, P)
-        z = tt @ w_latent.data + b_latent.data          # (B, K, R)
-        return np.ascontiguousarray(z.transpose(0, 2, 1))
-
-    def backward(grad: np.ndarray) -> None:
-        gz = grad.transpose(0, 2, 1)                    # (B, K, R)
-        if w_latent.requires_grad or b_latent.requires_grad:
-            gz2 = gz.reshape(-1, rank)
-            if w_latent.requires_grad:
-                w_latent._accumulate(
-                    tt.reshape(-1, tt.shape[-1]).T @ gz2)
-            if b_latent.requires_grad:
-                b_latent._accumulate(gz2.sum(axis=0))
-        dt = np.matmul(gz, w_latent.data.T).transpose(0, 2, 1)  # (B, P, K)
-        if w_buckets.requires_grad or b_buckets.requires_grad:
-            dt2 = dt.reshape(-1, k)
-            if w_buckets.requires_grad:
-                w_buckets._accumulate(
-                    x.data.reshape(-1, x.shape[-1]).T @ dt2)
-            if b_buckets.requires_grad:
-                b_buckets._accumulate(dt2.sum(axis=0))
-        if x.requires_grad:
-            x._accumulate(np.matmul(dt, w_buckets.data.T))
-
-    out = Tensor._make(_run_forward(run),
-                       (x, w_buckets, b_buckets, w_latent, b_latent),
-                       backward)
-    _record(out, run)
-    return out
-
-
-def fused_latent_head_reference(x: Tensor, w_buckets: Tensor,
-                                b_buckets: Tensor, w_latent: Tensor,
-                                b_latent: Tensor) -> Tensor:
-    """Unfused latent head from primitive ops (ground truth)."""
-    x = _ensure_tensor(x)
-    t = x.matmul(w_buckets) + b_buckets
-    t = t.transpose((0, 2, 1))
-    z = t.matmul(w_latent) + b_latent
-    return z.transpose((0, 2, 1))
 
 
 # ----------------------------------------------------------------------
@@ -1293,173 +1262,6 @@ def fused_twin_cnrnn_cell(lap2: np.ndarray, x: Tensor, h: Tensor,
                         "params_b": (w_reset_b, b_reset_b, w_update_b,
                                      b_update_b, w_cand_b, b_cand_b),
                         "order": order, "lap_b": lap_b, "lap_t": lap_t}))
-    return out
-
-
-def fused_twin_gcnn_stage(lap2: np.ndarray, x: Tensor,
-                          w_a: Tensor, b_a: Tensor,
-                          w_b: Tensor, b_b: Tensor, order: int,
-                          stride: int = 1, perm: np.ndarray = None,
-                          inv_counts: np.ndarray = None) -> Tensor:
-    """Two same-shaped factorizer stages as one stacked node.
-
-    The pair-axis analog of :func:`fused_gcnn_stage`: ``x (2, B, N, C)``
-    holds both sides' slice batches, ``lap2 (2, N, N)`` their scaled
-    Laplacians, and the conv weights run as batched GEMMs.  The pooling
-    layout (``stride``/``perm``/``inv_counts``) must be shared by both
-    sides — the caller verifies the coarsenings agree.
-    """
-    x = _ensure_tensor(x)
-    lap_b = _constant_array(lap2)[:, None]              # (2, 1, N, N)
-    two, batch, n, channels = x.shape
-    q = w_a.shape[-1]
-    dtype = x.data.dtype
-    if perm is not None:
-        real = perm < n
-        perm_real = perm[real]
-        inverse = np.empty(n, dtype=np.intp)
-        inverse[perm_real] = np.nonzero(real)[0]
-        cluster_of_node = inverse // stride
-    else:
-        real = perm_real = None
-        cluster_of_node = np.arange(n, dtype=np.intp) // stride
-    scale = inv_counts.astype(dtype, copy=False)[:, None] \
-        if stride > 1 else None
-    lap_t = np.swapaxes(lap_b, -1, -2)
-    feats = w2 = act = None
-
-    def run() -> np.ndarray:
-        nonlocal feats, w2, act
-        feats = _cheb_feats(_cheb_terms(lap_b, x.data, order), order)
-        w2 = np.stack([w_a.data, w_b.data])             # (2, C·S, Q)
-        b2 = np.stack([b_a.data, b_b.data])
-        act = np.matmul(feats, w2).reshape(two, batch, n, q)
-        act += b2[:, None, None]
-        np.maximum(act, 0.0, out=act)
-        if perm is not None:
-            pooled_src = np.zeros((two, batch, perm.size, q),
-                                  dtype=act.dtype)
-            pooled_src[:, :, real] = act[:, :, perm_real]
-        else:
-            pooled_src = act
-        if stride > 1:
-            m = pooled_src.shape[2]
-            out_data = pooled_src.reshape(two, batch, m // stride, stride,
-                                          q).sum(axis=3)
-            out_data *= scale
-        else:
-            out_data = pooled_src
-        return out_data
-
-    def backward(grad: np.ndarray) -> None:
-        if stride > 1:
-            scaled = grad * scale
-            dact = scaled[:, :, cluster_of_node]
-            dact *= act > 0                             # ReLU mask, in place
-        elif perm is not None:
-            dact = grad[:, :, cluster_of_node]
-            dact *= act > 0
-        else:
-            dact = grad * (act > 0)
-        gm = dact.reshape(two, batch * n, q)
-        if w_a.requires_grad or w_b.requires_grad:
-            dw = np.matmul(np.swapaxes(feats, -1, -2), gm)
-            if w_a.requires_grad:
-                w_a._accumulate(dw[0])
-            if w_b.requires_grad:
-                w_b._accumulate(dw[1])
-        if b_a.requires_grad or b_b.requires_grad:
-            db = gm.sum(axis=1)
-            if b_a.requires_grad:
-                b_a._accumulate(db[0])
-            if b_b.requires_grad:
-                b_b._accumulate(db[1])
-        if x.requires_grad:
-            x._accumulate(_cheb_adjoint(
-                lap_t, gm, w2, (two, batch, n, channels), order))
-
-    out = Tensor._make(_run_forward(run), (x, w_a, b_a, w_b, b_b),
-                       backward)
-    _record(out, run, ("fused_twin_gcnn_stage",
-                       {"x": x, "w_a": w_a, "b_a": b_a, "w_b": w_b,
-                        "b_b": b_b, "order": order, "stride": stride,
-                        "lap_b": lap_b, "lap_t": lap_t, "real": real,
-                        "perm_real": perm_real,
-                        "cluster_of_node": cluster_of_node,
-                        "scale": scale,
-                        "perm_size": None if perm is None
-                        else int(perm.size)}))
-    return out
-
-
-def fused_twin_latent_head(x: Tensor,
-                           head_a: Sequence[Tensor],
-                           head_b: Sequence[Tensor]) -> Tensor:
-    """Both factorizers' two-GEMM latent heads as one stacked node.
-
-    The pair-axis analog of :func:`fused_latent_head`: ``x (2, B, P, C)``
-    → ``(2, B, R, K)``.  ``head_a``/``head_b`` are each
-    ``(w_buckets, b_buckets, w_latent, b_latent)``.
-    """
-    x = _ensure_tensor(x)
-    wb_a, bb_a, wl_a, bl_a = head_a
-    wb_b, bb_b, wl_b, bl_b = head_b
-    k = wb_a.shape[-1]
-    rank = wl_a.shape[-1]
-    w_buckets = w_latent = tt = None
-
-    def run() -> np.ndarray:
-        nonlocal w_buckets, w_latent, tt
-        w_buckets = np.stack([wb_a.data, wb_b.data])[:, None]  # (2,1,C,K)
-        b_buckets = np.stack([bb_a.data, bb_b.data])
-        w_latent = np.stack([wl_a.data, wl_b.data])[:, None]   # (2,1,P,R)
-        b_latent = np.stack([bl_a.data, bl_b.data])
-        t = np.matmul(x.data, w_buckets) + b_buckets[:, None, None]
-        tt = np.swapaxes(t, -1, -2)                            # (2,B,K,P)
-        z = np.matmul(tt, w_latent) + b_latent[:, None, None]
-        return np.ascontiguousarray(np.swapaxes(z, -1, -2))
-
-    def backward(grad: np.ndarray) -> None:
-        gz = np.swapaxes(grad, -1, -2)                      # (2, B, K, R)
-        gz2 = gz.reshape(2, -1, rank)
-        if wl_a.requires_grad or wl_b.requires_grad:
-            dwl = np.matmul(
-                np.swapaxes(tt.reshape(2, -1, tt.shape[-1]), -1, -2), gz2)
-            if wl_a.requires_grad:
-                wl_a._accumulate(dwl[0])
-            if wl_b.requires_grad:
-                wl_b._accumulate(dwl[1])
-        if bl_a.requires_grad or bl_b.requires_grad:
-            dbl = gz2.sum(axis=1)
-            if bl_a.requires_grad:
-                bl_a._accumulate(dbl[0])
-            if bl_b.requires_grad:
-                bl_b._accumulate(dbl[1])
-        dt = np.swapaxes(
-            np.matmul(gz, np.swapaxes(w_latent, -1, -2)), -1, -2)
-        dt2 = dt.reshape(2, -1, k)
-        if wb_a.requires_grad or wb_b.requires_grad:
-            dwb = np.matmul(
-                np.swapaxes(x.data.reshape(2, -1, x.shape[-1]), -1, -2),
-                dt2)
-            if wb_a.requires_grad:
-                wb_a._accumulate(dwb[0])
-            if wb_b.requires_grad:
-                wb_b._accumulate(dwb[1])
-        if bb_a.requires_grad or bb_b.requires_grad:
-            dbb = dt2.sum(axis=1)
-            if bb_a.requires_grad:
-                bb_a._accumulate(dbb[0])
-            if bb_b.requires_grad:
-                bb_b._accumulate(dbb[1])
-        if x.requires_grad:
-            x._accumulate(np.matmul(dt, np.swapaxes(w_buckets, -1, -2)))
-
-    out = Tensor._make(_run_forward(run),
-                       (x,) + tuple(head_a) + tuple(head_b), backward)
-    _record(out, run, ("fused_twin_latent_head",
-                       {"x": x, "head_a": (wb_a, bb_a, wl_a, bl_a),
-                        "head_b": (wb_b, bb_b, wl_b, bl_b)}))
     return out
 
 

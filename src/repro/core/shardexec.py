@@ -12,8 +12,9 @@ time, with a strict per-shard memory budget measured by tracemalloc.
 
 Because the graph convolutions propagate along the *other* side's
 graph, slicing the shard axis never crosses a convolution: per-shard
-forwards are bit-identical rows of the dense forward (row-partitioned
-GEMMs and batch-partitioned ``np.matmul`` are exact on this BLAS).  The
+forwards are bit-identical rows of the dense forward: every shard runs
+the same node-last kernel as dense (``GCNNEncoder.op`` on its slice
+rows), and row- or column-partitioned GEMMs are exact on this BLAS.  The
 plan's halos therefore stay empty-handed here — they document what a
 graph-axis sharding *would* exchange — and the only parity hazard is
 the backward weight reduction, which motivates the two modes:
@@ -47,14 +48,12 @@ from __future__ import annotations
 
 import multiprocessing
 import tracemalloc
-import warnings
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..autodiff.ops import _cheb_adjoint, _cheb_feats, _cheb_terms
 from ..autodiff.tensor import Tensor, _record, _run_forward
 from ..graph.sharding import Shard, ShardPlan
 
@@ -111,167 +110,22 @@ class DataParallelUnit:
     slices_per_sample_total: int = 0
 
 
-# ----------------------------------------------------------------------
-# Per-stage execution constants (mirrors ops.fused_gcnn_stage exactly)
-# ----------------------------------------------------------------------
-@dataclass
-class _Stage:
-    lap: np.ndarray
-    lap_t: np.ndarray
-    weight: Tensor
-    bias: Tensor
-    order: int
-    n_nodes: int
-    channels: int
-    q: int
-    stride: int
-    perm: Optional[np.ndarray]
-    real: Optional[np.ndarray]
-    perm_real: Optional[np.ndarray]
-    cluster_of_node: np.ndarray
-    scale: Optional[np.ndarray]
-
-
-@dataclass
-class _Head:
-    w_buckets: Tensor
-    b_buckets: Tensor
-    w_latent: Tensor
-    b_latent: Tensor
-    k: int
-    rank: int
-
-    @property
-    def params(self) -> Tuple[Tensor, ...]:
-        return (self.w_buckets, self.b_buckets, self.w_latent,
-                self.b_latent)
-
-
-def _lap_array(scaled_lap) -> np.ndarray:
-    return scaled_lap.data if isinstance(scaled_lap, Tensor) \
-        else np.asarray(scaled_lap)
-
-
-def _side_stages(factorizer) -> Tuple[List[_Stage], _Head]:
-    """Derive the per-stage constants from a SpatialFactorizer.
-
-    Requires mean pooling (``factorizer._fused_specs`` is the same
-    per-stage constant set the fused kernels use); max pooling has no
-    sharded path — callers check :meth:`ShardedExecution.supports`.
-    """
-    if factorizer._fused_specs is None:
+def _encoder(factorizer):
+    """The factorizer's stage-1 ``op``/``adj_op`` pair; max pooling has
+    none — callers check :meth:`ShardedExecution.supports`."""
+    if factorizer.encoder is None:
         raise ValueError(
             "sharded execution requires mean pooling (the factorizer "
-            "has no fused stage constants)")
-    stages: List[_Stage] = []
-    for conv, spec in zip(factorizer.convs, factorizer._fused_specs):
-        lap = _lap_array(conv._scaled_lap)
-        n = lap.shape[0]
-        order = conv.order
-        stride = spec["stride"]
-        perm = spec["perm"]
-        if perm is not None:
-            real = perm < n
-            perm_real = perm[real]
-            inverse = np.empty(n, dtype=np.intp)
-            inverse[perm_real] = np.nonzero(real)[0]
-            cluster_of_node = inverse // stride
-        else:
-            real = perm_real = None
-            cluster_of_node = np.arange(n, dtype=np.intp) // stride
-        scale = spec["inv_counts"][:, None] if stride > 1 else None
-        stages.append(_Stage(
-            lap=lap, lap_t=lap.T, weight=conv.weight, bias=conv.bias,
-            order=order, n_nodes=n,
-            channels=conv.weight.shape[0] // order,
-            q=conv.weight.shape[-1], stride=stride, perm=perm, real=real,
-            perm_real=perm_real, cluster_of_node=cluster_of_node,
-            scale=scale))
-    head = _Head(w_buckets=factorizer.to_buckets.weight,
-                 b_buckets=factorizer.to_buckets.bias,
-                 w_latent=factorizer.latent_proj.weight,
-                 b_latent=factorizer.latent_proj.bias,
-                 k=factorizer.n_buckets, rank=factorizer.rank)
-    return stages, head
+            "has no fused stage-1 encoder)")
+    return factorizer.encoder
 
 
-# ----------------------------------------------------------------------
-# Raw-array forward / backward over a chunk of slice rows.  The array
-# op sequences mirror ops.fused_gcnn_stage / ops.fused_latent_head
-# line for line: per-shard results are bit-identical rows of the dense
-# computation (row-partitioned GEMMs are exact), which is what makes
-# the exact mode's reassembled backward bit-identical overall.
-# ----------------------------------------------------------------------
-def _forward_chunk(x_rows: np.ndarray, stages: Sequence[_Stage],
-                   head: _Head, need_caches: bool = True):
-    m = x_rows.shape[0]
-    cur = x_rows
-    stage_caches = [] if need_caches else None
-    for st in stages:
-        terms = _cheb_terms(st.lap, cur, st.order)
-        feats = _cheb_feats(terms, st.order)
-        act = (feats @ st.weight.data).reshape(m, st.n_nodes, st.q)
-        act += st.bias.data
-        np.maximum(act, 0.0, out=act)
-        if st.perm is not None:
-            pooled_src = np.zeros((m, st.perm.size, st.q),
-                                  dtype=act.dtype)
-            pooled_src[:, st.real] = act[:, st.perm_real]
-        else:
-            pooled_src = act
-        if st.stride > 1:
-            width = pooled_src.shape[1]
-            out = pooled_src.reshape(m, width // st.stride, st.stride,
-                                     st.q).sum(axis=2)
-            out *= st.scale
-        else:
-            out = pooled_src
-        if need_caches:
-            stage_caches.append((feats, act))
-        cur = out
-    x_head = cur                                        # (m, P, C)
-    t = x_head @ head.w_buckets.data + head.b_buckets.data
-    tt = t.transpose(0, 2, 1)                           # (m, K, P)
-    z = tt @ head.w_latent.data + head.b_latent.data    # (m, K, R)
-    out = np.ascontiguousarray(z.transpose(0, 2, 1))    # (m, R, K)
-    caches = (stage_caches, x_head, tt) if need_caches else None
-    return out, caches
-
-
-def _backward_chunk(grad: np.ndarray, caches, stages: Sequence[_Stage],
-                    head: _Head, sink: "_GradSink",
-                    need_input_grad: bool) -> Optional[np.ndarray]:
-    stage_caches, x_head, tt = caches
-    gz = grad.transpose(0, 2, 1)                        # (m, K, R)
-    gz2 = gz.reshape(-1, head.rank)
-    sink.add(head.w_latent, tt.reshape(-1, tt.shape[-1]).T @ gz2)
-    sink.add(head.b_latent, gz2.sum(axis=0))
-    dt = np.matmul(gz, head.w_latent.data.T).transpose(0, 2, 1)
-    dt2 = dt.reshape(-1, head.k)
-    sink.add(head.w_buckets,
-             x_head.reshape(-1, x_head.shape[-1]).T @ dt2)
-    sink.add(head.b_buckets, dt2.sum(axis=0))
-    g = np.matmul(dt, head.w_buckets.data.T)            # (m, P, C)
-    for index in range(len(stages) - 1, -1, -1):
-        st = stages[index]
-        feats, act = stage_caches[index]
-        m = act.shape[0]
-        if st.stride > 1:
-            scaled = g * st.scale
-            dact = scaled[:, st.cluster_of_node]
-            dact *= act > 0
-        elif st.perm is not None:
-            dact = g[:, st.cluster_of_node]
-            dact *= act > 0
-        else:
-            dact = g * (act > 0)
-        gm = dact.reshape(m * st.n_nodes, st.q)
-        sink.add(st.weight, feats.T @ gm)
-        sink.add(st.bias, gm.sum(axis=0))
-        if index > 0 or need_input_grad:
-            g = _cheb_adjoint(st.lap_t, gm, st.weight.data,
-                              (m, st.n_nodes, st.channels), st.order)
-    return g if need_input_grad else None
+def _backward_into(encoder, grad: np.ndarray, cache, sink: "_GradSink",
+                   need_input_grad: bool = False) -> Optional[np.ndarray]:
+    grads, dx = encoder.adj_op(grad, cache, input_grad=need_input_grad)
+    for param, g in zip(encoder.params, grads):
+        sink.add(param, g)
+    return dx
 
 
 class _GradSink:
@@ -400,7 +254,7 @@ class ShardedExecution:
             factorizer = getattr(model, name, None)
             if factorizer is None:
                 return False, f"model has no {name} factorizer"
-            if factorizer._fused_specs is None:
+            if factorizer.encoder is None:
                 return False, (f"{name} uses max pooling; the sharded "
                                f"path needs mean pooling")
         if self.plan.n_origins != model.n_origins \
@@ -459,9 +313,11 @@ class ShardedExecution:
                 f"tensor batch is {n_origins}x{n_dests} regions but the "
                 f"plan covers {self.plan.n_origins}x"
                 f"{self.plan.n_destinations}")
-        r_slices = tensors.reshape(batch * n_origins, n_dests, k)
-        c_slices = tensors.transpose((0, 2, 1, 3)).reshape(
-            batch * n_dests, n_origins, k)
+        # Node-last slices, (K, slices, nodes): shards own slice rows.
+        r_slices = tensors.transpose((3, 0, 1, 2)).reshape(
+            k, batch * n_origins, n_dests)
+        c_slices = tensors.transpose((3, 0, 2, 1)).reshape(
+            k, batch * n_dests, n_origins)
         profiled = self._profile_pending
         if profiled:
             self._profile_pending = False
@@ -481,9 +337,9 @@ class ShardedExecution:
                 if self._started_tracing:
                     tracemalloc.stop()
                     self._started_tracing = False
-        r = r.reshape(batch, n_origins, factorizer_r.rank, k)
-        c = c.reshape(batch, n_dests, factorizer_c.rank, k)
-        return r, c.transpose((0, 2, 1, 3))
+        r = r.reshape(k, batch, n_origins, factorizer_r.rank)
+        c = c.reshape(k, batch, n_dests, factorizer_c.rank)
+        return r.transpose((1, 2, 3, 0)), c.transpose((1, 3, 2, 0))
 
     # ------------------------------------------------------------------
     def _shard_rows(self, shard: Shard, batch: int,
@@ -508,28 +364,24 @@ class ShardedExecution:
 
     def _side_node(self, x: Tensor, factorizer, side: str, batch: int,
                    shards: Tuple[Shard, ...]) -> Tensor:
-        stages, head = _side_stages(factorizer)
+        encoder = _encoder(factorizer)
         if self.mode == "blocked" and x.requires_grad:
             raise NotImplementedError(
                 "blocked mode does not propagate gradients into the "
                 "history input (zero-slice collapse shares forward "
                 "state); use mode='exact' or detach the input")
-        params: List[Tensor] = []
-        for st in stages:
-            params.extend((st.weight, st.bias))
-        params.extend(head.params)
         n_side = self.plan.n_origins if side == "r" \
             else self.plan.n_destinations
         state: dict = {}
         if self.mode == "exact":
-            run = self._exact_run(x, stages, head, side, batch, shards,
-                                  n_side, state)
-            backward = self._exact_backward(x, stages, head, state)
+            run = self._exact_run(x, encoder, side, batch, shards, n_side,
+                                  state)
+            backward = self._exact_backward(x, encoder, state)
         else:
-            run = self._blocked_run(x, stages, head, side, batch,
-                                    shards, n_side, state)
-            backward = self._blocked_backward(x, stages, head, state)
-        out = Tensor._make(_run_forward(run), (x,) + tuple(params),
+            run = self._blocked_run(x, encoder, side, batch, shards,
+                                    n_side, state)
+            backward = self._blocked_backward(encoder, state)
+        out = Tensor._make(_run_forward(run), (x,) + encoder.params,
                            backward)
         _record(out, run)
         return out
@@ -537,73 +389,58 @@ class ShardedExecution:
     # ------------------------------------------------------------------
     # exact mode: per-shard forward, dense-order caches, dense backward
     # ------------------------------------------------------------------
-    def _exact_run(self, x, stages, head, side, batch, shards, n_side,
-                   state):
+    def _exact_run(self, x, encoder, side, batch, shards, n_side, state):
         def run() -> np.ndarray:
             x3 = x.data
-            total = x3.shape[0]
-            dtype = x3.dtype
-            feats_full = [np.empty((total, st.n_nodes,
-                                    st.channels * st.order), dtype=dtype)
-                          for st in stages]
-            act_full = [np.empty((total, st.n_nodes, st.q), dtype=dtype)
-                        for st in stages]
-            head_in = None
-            tt_full = None
-            out_full = np.empty((total, head.rank, head.k), dtype=dtype)
+            total = x3.shape[1]
+            cache_full = out_full = None
             for shard in shards:
                 rows = self._shard_rows(shard, batch, n_side)
-
-                def one_shard(rows=rows):
-                    return _forward_chunk(x3[rows], stages, head)
-
-                out, (stage_caches, x_head, tt) = self._measure(
-                    side, shard.index, one_shard)
-                if head_in is None:
-                    head_in = np.empty((total,) + x_head.shape[1:],
-                                       dtype=dtype)
-                    tt_full = np.empty((total,) + tt.shape[1:],
-                                       dtype=dtype)
-                for i, (feats, act) in enumerate(stage_caches):
-                    feats_full[i][rows] = feats.reshape(
-                        rows.size, stages[i].n_nodes, -1)
-                    act_full[i][rows] = act
-                head_in[rows] = x_head
-                tt_full[rows] = tt
-                out_full[rows] = out
-            stage_caches_full = [
-                (feats_full[i].reshape(total * stages[i].n_nodes, -1),
-                 act_full[i]) for i in range(len(stages))]
-            state["caches"] = (stage_caches_full, head_in, tt_full)
+                out, cache = self._measure(
+                    side, shard.index,
+                    lambda rows=rows: encoder.op(x3[:, rows]))
+                if out_full is None:
+                    # Every cache array keeps its slices on axis -2.
+                    cache_full = [
+                        np.empty(a.shape[:-2] + (total, a.shape[-1]),
+                                 dtype=a.dtype) for a in cache]
+                    out_full = np.empty(
+                        (out.shape[0], total, out.shape[-1]),
+                        dtype=out.dtype)
+                for full, chunk in zip(cache_full, cache):
+                    full[..., rows, :] = chunk
+                out_full[:, rows] = out
+            state["cache"] = cache_full
             return out_full
         return run
 
-    def _exact_backward(self, x, stages, head, state):
+    def _exact_backward(self, x, encoder, state):
         def backward(grad: np.ndarray) -> None:
-            sink = _GradSink(direct=True)
-            g = _backward_chunk(grad, state.pop("caches"), stages, head,
-                                sink, need_input_grad=x.requires_grad)
-            if x.requires_grad:
-                x._accumulate(g)
+            # The dense backward on the reassembled caches.
+            dx = _backward_into(encoder, grad, state.pop("cache"),
+                                _GradSink(direct=True),
+                                need_input_grad=x.requires_grad)
+            if dx is not None:
+                x._accumulate(dx)
         return backward
 
     # ------------------------------------------------------------------
     # blocked mode: zero-slice collapse + per-shard backward reduction
     # ------------------------------------------------------------------
-    def _blocked_run(self, x, stages, head, side, batch, shards, n_side,
+    def _blocked_run(self, x, encoder, side, batch, shards, n_side,
                      state):
         def run() -> np.ndarray:
             x3 = x.data
-            total = x3.shape[0]
-            occupied = x3.reshape(total, -1).any(axis=1)
+            total = x3.shape[1]
+            occupied = x3.any(axis=(0, 2))
             # All-empty slices share one forward state: the network's
             # bias response.  Compute it once from a single zero slice.
-            zero = np.zeros((1,) + x3.shape[1:], dtype=x3.dtype)
-            out_zero, caches_zero = _forward_chunk(zero, stages, head)
-            out_full = np.empty((total, head.rank, head.k),
-                                dtype=x3.dtype)
+            zero = np.zeros((x3.shape[0], 1, x3.shape[2]), dtype=x3.dtype)
+            out_zero, cache_zero = encoder.op(zero)
+            out_full = np.empty((out_zero.shape[0], total,
+                                 out_zero.shape[-1]), dtype=out_zero.dtype)
             empty = ~occupied
-            out_full[empty] = out_zero
+            out_full[:, empty] = out_zero
             shard_caches = []
             for shard in shards:
                 rows = self._shard_rows(shard, batch, n_side)
@@ -612,16 +449,14 @@ class ShardedExecution:
                     if self._profiling:
                         self.shard_peaks[side].append(0)
                     continue
-
-                def one_shard(rows=rows):
-                    return _forward_chunk(x3[rows], stages, head)
-
-                out, caches = self._measure(side, shard.index, one_shard)
-                out_full[rows] = out
-                shard_caches.append((rows, caches))
+                out, cache = self._measure(
+                    side, shard.index,
+                    lambda rows=rows: encoder.op(x3[:, rows]))
+                out_full[:, rows] = out
+                shard_caches.append((rows, cache))
             state["shards"] = shard_caches
             state["empty"] = empty
-            state["caches_zero"] = caches_zero
+            state["cache_zero"] = cache_zero
             self.last_occupancy[side] = {
                 "slices": int(total),
                 "occupied": int(occupied.sum()),
@@ -629,22 +464,20 @@ class ShardedExecution:
             return out_full
         return run
 
-    def _blocked_backward(self, x, stages, head, state):
+    def _blocked_backward(self, encoder, state):
         def backward(grad: np.ndarray) -> None:
             sink = _GradSink(direct=False)
-            for rows, caches in state.pop("shards"):
-                _backward_chunk(grad[rows], caches, stages, head, sink,
-                                need_input_grad=False)
+            for rows, cache in state.pop("shards"):
+                _backward_into(encoder, grad[:, rows], cache, sink)
             empty = state.pop("empty")
-            caches_zero = state.pop("caches_zero")
+            cache_zero = state.pop("cache_zero")
             if empty.any():
                 # The collapse pseudo-shard: every empty slice has the
                 # same forward caches, and the backward is linear in the
                 # output gradient given those caches, so one backward of
                 # the summed gradient equals the sum of backwards.
-                grad_empty = grad[empty].sum(axis=0, keepdims=True)
-                _backward_chunk(grad_empty, caches_zero, stages, head,
-                                sink, need_input_grad=False)
+                grad_empty = grad[:, empty].sum(axis=1, keepdims=True)
+                _backward_into(encoder, grad_empty, cache_zero, sink)
             sink.flush()
         return backward
 
@@ -667,28 +500,30 @@ class ShardedExecution:
         tensors = np.asarray(tensors)
         batch, n_origins, n_dests, k = tensors.shape
         n_jobs = self.n_jobs if n_jobs is None else int(n_jobs)
-        r_slices = tensors.reshape(batch * n_origins, n_dests, k)
+        r_slices = np.ascontiguousarray(
+            tensors.transpose(3, 0, 1, 2)).reshape(
+                k, batch * n_origins, n_dests)
         c_slices = np.ascontiguousarray(
-            tensors.transpose(0, 2, 1, 3)).reshape(
-                batch * n_dests, n_origins, k)
+            tensors.transpose(3, 0, 2, 1)).reshape(
+                k, batch * n_dests, n_origins)
         r = self._side_arrays(r_slices, factorizer_r, batch,
                               self.plan.origin_shards, n_origins, n_jobs)
         c = self._side_arrays(c_slices, factorizer_c, batch,
                               self.plan.dest_shards, n_dests, n_jobs)
-        r = r.reshape(batch, n_origins, factorizer_r.rank, k)
-        c = c.reshape(batch, n_dests, factorizer_c.rank, k)
-        return r, c.transpose(0, 2, 1, 3)
+        r = r.reshape(k, batch, n_origins, factorizer_r.rank)
+        c = c.reshape(k, batch, n_dests, factorizer_c.rank)
+        return r.transpose(1, 2, 3, 0), c.transpose(1, 3, 2, 0)
 
     def _side_arrays(self, x3, factorizer, batch, shards, n_side,
                      n_jobs):
-        stages, head = _side_stages(factorizer)
-        total = x3.shape[0]
-        occupied = x3.reshape(total, -1).any(axis=1)
-        zero = np.zeros((1,) + x3.shape[1:], dtype=x3.dtype)
-        out_zero, _ = _forward_chunk(zero, stages, head,
-                                     need_caches=False)
-        out_full = np.empty((total, head.rank, head.k), dtype=x3.dtype)
-        out_full[~occupied] = out_zero
+        encoder = _encoder(factorizer)
+        total = x3.shape[1]
+        occupied = x3.any(axis=(0, 2))
+        zero = np.zeros((x3.shape[0], 1, x3.shape[2]), dtype=x3.dtype)
+        out_zero, _ = encoder.op(zero)
+        out_full = np.empty((out_zero.shape[0], total, out_zero.shape[-1]),
+                            dtype=out_zero.dtype)
+        out_full[:, ~occupied] = out_zero
         row_sets = []
         thunks = []
         for shard in shards:
@@ -697,8 +532,7 @@ class ShardedExecution:
             if rows.size == 0:
                 continue
             row_sets.append(rows)
-            thunks.append(lambda rows=rows: _forward_chunk(
-                x3[rows], stages, head, need_caches=False)[0])
+            thunks.append(lambda rows=rows: encoder.op(x3[:, rows])[0])
         for rows, out in zip(row_sets, _run_thunks(thunks, n_jobs)):
-            out_full[rows] = out
+            out_full[:, rows] = out
         return out_full

@@ -105,16 +105,19 @@ class SpatialFactorizer(Module):
                              if self.pools[-1] is not None
                              else self._coarsening.graphs[level].shape[0])
         self.latent_proj = Linear(self._pooled_size, rank, rng)
-        # Per-stage constants for the fused conv+ReLU+pool kernel
-        # (ops.fused_gcnn_stage); max pooling has no fused path.
+        # The fused stage-1 kernel (ops.gcnn_encoder) pools with one
+        # GEMM against the mean-pooling matrix: mean pooling only.
         if pool_mode == "mean":
-            self._fused_specs = [
-                dict(stride=1, perm=None, inv_counts=None) if pool is None
-                else dict(stride=pool.stride, perm=pool._perm,
-                          inv_counts=pool._mean_scale / pool.stride)
-                for pool in self.pools]
+            stages = [ops.EncoderStage(
+                lap=conv._scaled_lap.data,
+                pool=None if pool is None else pool.pooling_matrix(),
+                weight=conv.weight, bias=conv.bias, order=conv.order)
+                for conv, pool in zip(self.convs, self.pools)]
+            self.encoder = ops.GCNNEncoder(
+                stages, self.to_buckets.weight, self.to_buckets.bias,
+                self.latent_proj.weight, self.latent_proj.bias)
         else:
-            self._fused_specs = None
+            self.encoder = None
 
     @property
     def pooled_size(self) -> int:
@@ -127,60 +130,31 @@ class SpatialFactorizer(Module):
         ``slices`` is ``(B*, nodes, K)`` — any number of tensor slices
         flattened into the leading axis.  Returns ``(B*, rank, K)``.
         """
-        x = slices
-        if ops.fused_enabled() and self._fused_specs is not None:
-            # Each conv+ReLU+pool stage and the two-projection tail are
-            # single fused graph nodes; the primitive composition below
-            # is the reference path.
-            for conv, spec in zip(self.convs, self._fused_specs):
-                x = ops.fused_gcnn_stage(conv._scaled_lap, x, conv.weight,
-                                         conv.bias, conv.order, **spec)
-            return ops.fused_latent_head(
-                x, self.to_buckets.weight, self.to_buckets.bias,
-                self.latent_proj.weight, self.latent_proj.bias)
+        return self.encode(slices.transpose((2, 0, 1))).transpose((1, 2, 0))
+
+    def encode(self, x: Tensor) -> Tensor:
+        """Encode node-last slices: ``(K, *rows, nodes)`` →
+        ``(K, *rows, rank)``.
+
+        With fused kernels on (and mean pooling) the whole encoder is one
+        graph node, ``ops.gcnn_encoder``; the primitive composition below
+        is the reference path.
+        """
+        if ops.fused_enabled() and self.encoder is not None:
+            return ops.gcnn_encoder(x, self.encoder)
+        k, rows, nodes = x.shape[0], x.shape[1:-1], x.shape[-1]
+        ndim = x.ndim
+        h = x.transpose(tuple(range(1, ndim)) + (0,)).reshape(-1, nodes, k)
         for conv, pool in zip(self.convs, self.pools):
-            x = ops.relu(conv(x))
+            h = ops.relu(conv(h))
             if pool is not None:
-                x = pool(x)
-        x = self.to_buckets(x)                      # (B*, beta', K)
-        x = x.transpose((0, 2, 1))                  # (B*, K, beta')
-        x = self.latent_proj(x)                     # (B*, K, rank)
-        return x.transpose((0, 2, 1))               # (B*, rank, K)
-
-
-def _twin_stage_specs(factorizer_a: SpatialFactorizer,
-                      factorizer_b: SpatialFactorizer):
-    """Shared per-stage pooling constants when the two factorizers are
-    architecture-identical (same stage shapes/orders and identical
-    coarsening layouts), i.e. when they can run as one stacked
-    computation.  Returns ``None`` when they cannot."""
-    if factorizer_a._fused_specs is None \
-            or factorizer_b._fused_specs is None \
-            or len(factorizer_a.convs) != len(factorizer_b.convs):
-        return None
-    for conv_a, conv_b in zip(factorizer_a.convs, factorizer_b.convs):
-        if conv_a.order != conv_b.order \
-                or conv_a.weight.shape != conv_b.weight.shape \
-                or conv_a._scaled_lap.shape != conv_b._scaled_lap.shape:
-            return None
-    if factorizer_a.to_buckets.weight.shape \
-            != factorizer_b.to_buckets.weight.shape \
-            or factorizer_a.latent_proj.weight.shape \
-            != factorizer_b.latent_proj.weight.shape:
-        return None
-    shared = []
-    for spec_a, spec_b in zip(factorizer_a._fused_specs,
-                              factorizer_b._fused_specs):
-        if spec_a["stride"] != spec_b["stride"] \
-                or (spec_a["perm"] is None) != (spec_b["perm"] is None):
-            return None
-        if spec_a["perm"] is not None and not (
-                np.array_equal(spec_a["perm"], spec_b["perm"])
-                and np.array_equal(spec_a["inv_counts"],
-                                   spec_b["inv_counts"])):
-            return None
-        shared.append(spec_a)
-    return shared
+                h = pool(h)
+        h = self.to_buckets(h)                      # (B*, beta', K)
+        h = h.transpose((0, 2, 1))                  # (B*, K, beta')
+        h = self.latent_proj(h)                     # (B*, K, rank)
+        h = h.reshape(rows + (k, self.rank))
+        return h.transpose((ndim - 2,) + tuple(range(ndim - 2))
+                           + (ndim - 1,))
 
 
 def factorize_tensor_batch(factorizer_r: SpatialFactorizer,
@@ -191,46 +165,12 @@ def factorize_tensor_batch(factorizer_r: SpatialFactorizer,
     ``tensors`` is ``(B, N, N', K)``.  Returns ``(R, C)`` with
     ``R = (B, N, β, K)`` (origin slices encoded over the destination
     graph) and ``C = (B, β, N', K)`` (destination slices encoded over the
-    origin graph).  With fused kernels on and architecture-identical
-    factorizers (square cities), both sides run as one stacked
-    computation per stage (``ops.fused_twin_gcnn_stage``).
+    origin graph).  Each side is relaid out node-last once on entry —
+    ``(K, B, N, N')`` for R, ``(K, B, N', N)`` for C — and once on exit.
     """
-    batch, n_origins, n_dests, k = tensors.shape
-    # Origin slices: (B*N, N', K) over the destination graph.
-    r_slices = tensors.reshape(batch * n_origins, n_dests, k)
-    # Destination slices: (B*N', N, K) over the origin graph.
-    c_slices = tensors.transpose((0, 2, 1, 3)).reshape(
-        batch * n_dests, n_origins, k)
-    if ops.fused_enabled() and r_slices.shape == c_slices.shape:
-        shared = _twin_stage_specs(factorizer_r, factorizer_c)
-        if shared is not None:
-            x = ops.stack([r_slices, c_slices], axis=0)
-            for conv_r, conv_c, spec in zip(factorizer_r.convs,
-                                            factorizer_c.convs, shared):
-                lap2 = np.stack([conv_r._scaled_lap.data,
-                                 conv_c._scaled_lap.data])
-                x = ops.fused_twin_gcnn_stage(
-                    lap2, x, conv_r.weight, conv_r.bias,
-                    conv_c.weight, conv_c.bias, conv_r.order, **spec)
-            out2 = ops.fused_twin_latent_head(
-                x,
-                (factorizer_r.to_buckets.weight,
-                 factorizer_r.to_buckets.bias,
-                 factorizer_r.latent_proj.weight,
-                 factorizer_r.latent_proj.bias),
-                (factorizer_c.to_buckets.weight,
-                 factorizer_c.to_buckets.bias,
-                 factorizer_c.latent_proj.weight,
-                 factorizer_c.latent_proj.bias))
-            r = out2[0].reshape(batch, n_origins, factorizer_r.rank, k)
-            c = out2[1].reshape(batch, n_dests, factorizer_c.rank, k)
-            return r, c.transpose((0, 2, 1, 3))     # (B, β, N', K)
-    r = factorizer_r(r_slices).reshape(batch, n_origins,
-                                       factorizer_r.rank, k)
-    c = factorizer_c(c_slices).reshape(batch, n_dests,
-                                       factorizer_c.rank, k)
-    c = c.transpose((0, 2, 1, 3))                   # (B, β, N', K)
-    return r, c
+    r = factorizer_r.encode(tensors.transpose((3, 0, 1, 2)))   # (K,B,N,β)
+    c = factorizer_c.encode(tensors.transpose((3, 0, 2, 1)))   # (K,B,N',β)
+    return r.transpose((1, 2, 3, 0)), c.transpose((1, 3, 2, 0))
 
 
 def sharded_factorize_tensor_batch(factorizer_r: SpatialFactorizer,

@@ -117,9 +117,10 @@ class GraphPool(Module):
     The permutation and fake-node layout come from a
     :class:`~repro.graph.coarsening.Coarsening`.  ``levels`` selects how
     many matching levels to pool over, i.e. pooling size ``p = 2**levels``.
-    Mean pooling divides by the number of *real* nodes per cluster so fake
-    (zero) nodes do not bias the average; max pooling uses the standard
-    zero-padding convention.
+    Mean pooling divides by the number of *real* nodes per cluster and
+    zeroes fake nodes first, so they do not bias the average (at coarse
+    levels a fake node's activation is ``relu(bias)``, not 0); max
+    pooling uses the standard zero-padding convention.
     """
 
     def __init__(self, coarsening: Coarsening, levels: int,
@@ -152,11 +153,30 @@ class GraphPool(Module):
             self._in_size = coarsening.graphs[start_level].shape[0]
             self._n_padded = self._in_size
             is_real = coarsening.real_mask[start_level].astype(np.float64)
+        self._is_real = is_real
+        # Coarse-level inputs carry their fake slots (level 0 pads them
+        # with zeros after the activation), so mean pooling zeroes them.
+        self._mask_fakes = self._perm is None and not is_real.all()
         counts = is_real.reshape(-1, self.stride).sum(axis=1)
         # Clusters made purely of fake nodes pool to zero; avoid 0/0.
         self._mean_scale = np.divide(self.stride, counts,
                                      out=np.zeros_like(counts),
                                      where=counts > 0)
+
+    def pooling_matrix(self) -> np.ndarray:
+        """Mean pooling as a GEMM: the ``(in_size, output_size)`` matrix
+        holding ``1/count`` where input node ``j`` (in this layer's input
+        order) is a *real* member of cluster ``p``, else 0 — fake nodes
+        belong to no cluster, and all-fake clusters pool to 0.  ``x @
+        pooling_matrix()`` equals :meth:`forward` in ``"mean"`` mode.
+        """
+        slots = np.flatnonzero(self._is_real)
+        nodes = slots if self._perm is None else self._perm[slots]
+        member = np.zeros((self._in_size, self.output_size))
+        member[nodes, slots // self.stride] = 1.0
+        counts = member.sum(axis=0)
+        return member * np.divide(1.0, counts, out=np.zeros_like(counts),
+                                  where=counts > 0)
 
     @property
     def output_size(self) -> int:
@@ -176,6 +196,10 @@ class GraphPool(Module):
             x = ops.take_axis(x, self._perm, axis)
         if self.mode == "max":
             return ops.max_pool_axis(x, axis, self.stride)
+        if self._mask_fakes:
+            shape = [1] * x.ndim
+            shape[axis] = self._in_size
+            x = x * self._is_real.astype(x.data.dtype).reshape(shape)
         pooled = ops.mean_pool_axis(x, axis, self.stride)
         shape = [1] * x.ndim
         shape[axis] = self.output_size

@@ -17,11 +17,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.autodiff import Tensor, check_gradients, ops
-from repro.autodiff.tensor import set_default_dtype
+from repro.autodiff.tensor import get_default_dtype, set_default_dtype
 from repro.core.af import AdvancedFramework
-from repro.core.spatial import SpatialFactorizer, factorize_tensor_batch
+from repro.core.spatial import (DEFAULT_BLOCKS, GCNNBlock,
+                                SpatialFactorizer, factorize_tensor_batch)
 from repro.experiments import (MethodBudget, make_bf, make_nh, prepare,
                                run_comparison)
 from repro.graph.energy import dirichlet_energy, dirichlet_energy_reference
@@ -87,40 +90,6 @@ class TestToggle:
         assert ops.fused_enabled() == original
 
 
-class TestChebPropagate:
-    def test_parity(self, rng):
-        lap = rng.normal(size=(6, 6))
-        x = rng.normal(size=(6, 5))
-        assert_parity(lambda t: ops.cheb_propagate(lap, t, 4),
-                      lambda t: ops.cheb_propagate_reference(lap, t, 4),
-                      [x], seed=1)
-
-    def test_order_one_is_identity_stack(self, rng):
-        lap = rng.normal(size=(4, 4))
-        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        with ops.use_fused(True):
-            out = ops.cheb_propagate(lap, x, 1)
-        assert out.shape == (4, 3, 1)
-        assert np.allclose(out.data[..., 0], x.data)
-
-    def test_gradcheck(self, rng):
-        lap = rng.normal(size=(5, 5))
-        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        with ops.use_fused(True):
-            check_gradients(
-                lambda t: (ops.cheb_propagate(lap, t, 3) ** 2).sum(), [x])
-
-    def test_shape_errors(self, rng):
-        lap = rng.normal(size=(4, 4))
-        with ops.use_fused(True):
-            with pytest.raises(ValueError):
-                ops.cheb_propagate(lap, Tensor(np.zeros((2, 4, 3))), 2)
-            with pytest.raises(ValueError):
-                ops.cheb_propagate(lap, Tensor(np.zeros((3, 2))), 2)
-            with pytest.raises(ValueError):
-                ops.cheb_propagate(lap, Tensor(np.zeros((4, 2))), 0)
-
-
 class TestChebConv:
     def test_parity(self, rng):
         lap = rng.normal(size=(6, 6))
@@ -176,81 +145,187 @@ class TestChebConv:
             set_default_dtype(np.float64)
 
 
+def _factorizer(weights, n_buckets=4, rank=3, blocks=DEFAULT_BLOCKS,
+                cluster_pooling=True, seed=7):
+    """A factorizer with every parameter drawn at random — biases too,
+    so fake pooling nodes carry ``relu(bias)``, not 0."""
+    factorizer = SpatialFactorizer(
+        weights, n_buckets, rank, np.random.default_rng(seed),
+        blocks=blocks, cluster_pooling=cluster_pooling)
+    draws = np.random.default_rng(seed + 1)
+    for p in factorizer.parameters():
+        p.data[...] = draws.normal(scale=0.5, size=p.shape)
+    return factorizer
+
+
+def assert_encoder_parity(factorizers, tensors, seed, tol=PARITY):
+    """``ops.gcnn_encoder`` against the primitive reference composition.
+
+    One factorizer runs the one-side call (``SpatialFactorizer.forward``
+    on ``(B*, nodes, K)`` slices); two run ``factorize_tensor_batch`` on
+    a ``(B, N, N', K)`` batch.  Outputs, the input gradient and every
+    parameter gradient must agree under a fixed random cotangent.
+    """
+    params = [p for f in factorizers for p in f.parameters()]
+
+    def run(fused):
+        for p in params:
+            p.grad = None
+        x = Tensor(tensors.copy(), requires_grad=True)
+        with ops.use_fused(fused):
+            if len(factorizers) == 1:
+                outs = [factorizers[0](x)]
+            else:
+                outs = list(factorize_tensor_batch(*factorizers, x))
+            draws = np.random.default_rng(seed)
+            loss = None
+            for out in outs:
+                term = (out * Tensor(draws.normal(size=out.shape))).sum()
+                loss = term if loss is None else loss + term
+            loss.backward()
+        return ([out.data.copy() for out in outs] + [x.grad.copy()]
+                + [p.grad.copy() for p in params])
+
+    fused, reference = run(True), run(False)
+    for i, (a, b) in enumerate(zip(fused, reference)):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.allclose(a, b, **tol), (
+            f"mismatch on array {i}: max diff {np.max(np.abs(a - b)):.3e}")
+
+
 class TestGcnnStage:
     def test_parity_no_pool(self, rng):
-        lap = rng.normal(size=(6, 6))
-        order = 3
-        x = rng.normal(size=(3, 6, 4))
-        weight = rng.normal(size=(4 * order, 5))
-        bias = rng.normal(size=(5,))
-        assert_parity(
-            lambda t, w, b: ops.fused_gcnn_stage(lap, t, w, b, order),
-            lambda t, w, b: ops.fused_gcnn_stage_reference(
-                lap, t, w, b, order),
-            [x, weight, bias], seed=3)
+        factorizer = _factorizer(_random_proximity(6, rng),
+                                 blocks=[GCNNBlock(5, 3, pool_levels=0)])
+        assert factorizer.encoder.stages[0].pool is None
+        # A non-symmetric operator, so the adjoint's L-versus-Lᵀ shows.
+        factorizer.convs[0]._scaled_lap.data[...] = rng.normal(size=(6, 6))
+        assert_encoder_parity([factorizer], rng.normal(size=(3, 6, 4)),
+                              seed=3)
 
     def test_parity_with_real_pooling(self, rng):
-        # Pull perm/inv_counts from a real factorizer's coarsening so
-        # the padded-permute + cluster-mean path is exercised exactly as
-        # the model uses it.
-        w = _random_proximity(12, rng)
-        factorizer = SpatialFactorizer(w, 4, 3, np.random.default_rng(7))
-        conv = factorizer.convs[0]
-        spec = factorizer._fused_specs[0]
-        assert spec["stride"] > 1 and spec["perm"] is not None
-        lap = conv._scaled_lap.data
-        order = conv.order
-        x = rng.normal(size=(2, 12, 4))
-        weight = rng.normal(size=conv.weight.shape)
-        bias = rng.normal(size=conv.bias.shape)
-        assert_parity(
-            lambda t, wt, b: ops.fused_gcnn_stage(
-                lap, t, wt, b, order, **spec),
-            lambda t, wt, b: ops.fused_gcnn_stage_reference(
-                lap, t, wt, b, order, **spec),
-            [x, weight, bias], seed=4)
+        # The factorizer's own coarsening: level-0 pad-and-permute and
+        # the cluster means exactly as the model uses them.
+        factorizer = _factorizer(_random_proximity(12, rng))
+        assert all(st.pool is not None
+                   for st in factorizer.encoder.stages)
+        assert_encoder_parity([factorizer], rng.normal(size=(2, 12, 4)),
+                              seed=4)
 
     def test_gradcheck_with_pooling(self, rng):
-        w = _random_proximity(12, rng)
-        factorizer = SpatialFactorizer(w, 4, 3, np.random.default_rng(7))
+        factorizer = _factorizer(_random_proximity(12, rng),
+                                 blocks=[GCNNBlock(3, 3, 1)])
         conv = factorizer.convs[0]
-        spec = factorizer._fused_specs[0]
-        lap = conv._scaled_lap.data
-        x = Tensor(rng.normal(size=(2, 12, 4)), requires_grad=True)
-        weight = Tensor(rng.normal(size=conv.weight.shape),
-                        requires_grad=True)
-        bias = Tensor(rng.normal(size=conv.bias.shape), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 2, 12)), requires_grad=True)
         with ops.use_fused(True):
             check_gradients(
-                lambda t, wt, b: (ops.fused_gcnn_stage(
-                    lap, t, wt, b, conv.order, **spec) ** 2).sum(),
-                [x, weight, bias])
+                lambda t, wt, b: (ops.gcnn_encoder(
+                    t, factorizer.encoder) ** 2).sum(),
+                [x, conv.weight, conv.bias])
 
-    def test_shape_error(self, rng):
+    def test_shape_error(self):
+        factorizer = _factorizer(_random_proximity(4, np.random.default_rng(0)),
+                                 blocks=[GCNNBlock(2, 2, 0)])
         with ops.use_fused(True):
             with pytest.raises(ValueError):
-                ops.fused_gcnn_stage(np.eye(4), Tensor(np.zeros((4, 3))),
-                                     Tensor(np.zeros((6, 2))),
-                                     Tensor(np.zeros(2)), 2)
+                ops.gcnn_encoder(Tensor(np.zeros((4, 3))),
+                                 factorizer.encoder)
+            with pytest.raises(ValueError):
+                ops.gcnn_encoder(Tensor(np.zeros((3, 2, 4))),
+                                 factorizer.encoder)
 
 
 class TestLatentHead:
     def test_parity(self, rng):
-        x = rng.normal(size=(3, 7, 5))          # (B, beta', C)
-        w_buckets = rng.normal(size=(5, 4))
-        b_buckets = rng.normal(size=(4,))
-        w_latent = rng.normal(size=(7, 3))
-        b_latent = rng.normal(size=(3,))
-        assert_parity(ops.fused_latent_head, ops.fused_latent_head_reference,
-                      [x, w_buckets, b_buckets, w_latent, b_latent], seed=5)
+        # One order-1, pool-free stage: the encoder is the latent head
+        # behind a single 1x1 mix, so head mistakes cannot hide.
+        factorizer = _factorizer(_random_proximity(7, rng), n_buckets=5,
+                                 rank=3,
+                                 blocks=[GCNNBlock(4, 1, pool_levels=0)])
+        assert_encoder_parity([factorizer], rng.normal(size=(3, 7, 5)),
+                              seed=5)
 
     def test_gradcheck(self, rng):
-        tensors = _params([rng.normal(size=(2, 4, 3)),
-                           rng.normal(size=(3, 2)), rng.normal(size=(2,)),
-                           rng.normal(size=(4, 3)), rng.normal(size=(3,))])
+        factorizer = _factorizer(_random_proximity(4, rng), n_buckets=2,
+                                 rank=3,
+                                 blocks=[GCNNBlock(3, 1, pool_levels=0)])
+        head = [factorizer.to_buckets.weight, factorizer.to_buckets.bias,
+                factorizer.latent_proj.weight, factorizer.latent_proj.bias]
+        x = Tensor(rng.normal(size=(2, 2, 4)), requires_grad=True)
         with ops.use_fused(True):
             check_gradients(
-                lambda *a: (ops.fused_latent_head(*a) ** 2).sum(), tensors)
+                lambda t, *params: (ops.gcnn_encoder(
+                    t, factorizer.encoder) ** 2).sum(),
+                [x] + head)
+
+
+@st.composite
+def encoder_cases(draw):
+    """Random stage-1 setups: square or non-square cities, one or two
+    sides, Graclus or id-order coarsening (fake nodes at levels 0 and 1
+    whenever a matching is incomplete), sparse OD batches with all-empty
+    slices, float32 or float64."""
+    n_origins = draw(st.integers(2, 9))
+    square = draw(st.booleans())
+    blocks = tuple(
+        GCNNBlock(filters=draw(st.integers(1, 4)),
+                  order=draw(st.integers(1, 3)),
+                  pool_levels=draw(st.integers(0, 1)))
+        for _ in range(draw(st.integers(1, 2))))
+    return dict(
+        n_origins=n_origins,
+        n_dests=n_origins if square else draw(st.integers(2, 9)),
+        n_buckets=draw(st.integers(1, 3)), rank=draw(st.integers(1, 3)),
+        blocks=blocks, cluster_pooling=draw(st.booleans()),
+        batch=draw(st.integers(1, 3)),
+        density=draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])),
+        sides=draw(st.sampled_from([1, 2])),
+        dtype=draw(st.sampled_from(["float64", "float32"])),
+        seed=draw(st.integers(0, 2 ** 16)))
+
+
+#: PARITY (1e-9) is a float64 bound; float32 gets the same margin over
+#: its own machine epsilon.
+FLOAT32_PARITY = dict(rtol=1e3 * float(np.finfo(np.float32).eps),
+                      atol=1e3 * float(np.finfo(np.float32).eps))
+#: Id-order pairing of 5 nodes pads level 0 to 8 slots (3 fake) and
+#: level 1 to 4 (1 fake), so both pooling stages see fake nodes.
+FAKE_AT_LEVELS_0_AND_1 = dict(
+    n_origins=5, n_dests=5, n_buckets=2, rank=2,
+    blocks=(GCNNBlock(3, 3, 1), GCNNBlock(2, 2, 1)), cluster_pooling=False,
+    batch=2, density=0.3, sides=2, dtype="float64", seed=0)
+
+
+class TestGcnnEncoderProperties:
+    @settings(max_examples=40, deadline=None)
+    @example(case=FAKE_AT_LEVELS_0_AND_1)
+    @example(case=dict(FAKE_AT_LEVELS_0_AND_1, n_dests=7, sides=2,
+                       cluster_pooling=True, dtype="float32"))
+    @example(case=dict(FAKE_AT_LEVELS_0_AND_1, density=0.0, sides=1))
+    @given(case=encoder_cases())
+    def test_matches_reference(self, case):
+        draws = np.random.default_rng(case["seed"])
+        previous = get_default_dtype()
+        set_default_dtype(np.dtype(case["dtype"]))
+        try:
+            factorizers = [
+                _factorizer(_random_proximity(n, draws), case["n_buckets"],
+                            case["rank"], case["blocks"],
+                            case["cluster_pooling"], seed=case["seed"] + i)
+                for i, n in enumerate(
+                    (case["n_dests"], case["n_origins"])[:case["sides"]])]
+            shape = (case["batch"], case["n_origins"], case["n_dests"])
+            tensors = draws.uniform(size=shape + (case["n_buckets"],))
+            tensors *= draws.uniform(size=shape + (1,)) < case["density"]
+            tensors[0, 0] = 0.0             # an all-empty origin slice
+            tensors[-1, :, -1] = 0.0        # an all-empty destination slice
+            if case["sides"] == 1:
+                tensors = tensors.reshape(-1, case["n_dests"],
+                                          case["n_buckets"])
+            tol = PARITY if case["dtype"] == "float64" else FLOAT32_PARITY
+            assert_encoder_parity(factorizers, tensors, case["seed"], tol)
+        finally:
+            set_default_dtype(previous)
 
 
 class TestGruGates:
@@ -372,34 +447,11 @@ class TestTwinOps:
                       seed=10)
 
     def test_twin_factorizer_matches_per_side(self, rng):
-        # Same graph on both sides so the coarsening layouts agree and
-        # the twin path activates; different weights per side.
+        # Both sides through factorize_tensor_batch: the same graph (so
+        # the coarsening layouts agree), different weights per side.
         w = _random_proximity(12, rng)
-        factor_r = SpatialFactorizer(w, 4, 3, np.random.default_rng(1))
-        factor_c = SpatialFactorizer(w, 4, 3, np.random.default_rng(2))
-        tensors = rng.normal(size=(2, 12, 12, 4))
-
-        def run(fused):
-            for p in factor_r.parameters():
-                p.grad = None
-            for p in factor_c.parameters():
-                p.grad = None
-            x = Tensor(tensors.copy(), requires_grad=True)
-            with ops.use_fused(fused):
-                r, c = factorize_tensor_batch(factor_r, factor_c, x)
-                loss = (r ** 2).sum() + (c ** 2).sum()
-                loss.backward()
-            grads = [np.array(p.grad) for p in factor_r.parameters()]
-            grads += [np.array(p.grad) for p in factor_c.parameters()]
-            return (r.data.copy(), c.data.copy(), np.array(x.grad), grads)
-
-        r_f, c_f, xg_f, grads_f = run(True)
-        r_r, c_r, xg_r, grads_r = run(False)
-        assert np.allclose(r_f, r_r, **PARITY)
-        assert np.allclose(c_f, c_r, **PARITY)
-        assert np.allclose(xg_f, xg_r, **PARITY)
-        for gf, gr in zip(grads_f, grads_r):
-            assert np.allclose(gf, gr, **PARITY)
+        assert_encoder_parity([_factorizer(w, seed=1), _factorizer(w, seed=2)],
+                              rng.normal(size=(2, 12, 12, 4)), seed=6)
 
     def test_full_af_model_parity(self, rng):
         # End-to-end: twin factorizers, twin CNRNNs, recovery — fused vs

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor
+from repro.autodiff import Tensor, ops
 from repro.core import GCNNBlock, SpatialFactorizer, factorize_tensor_batch
 from repro.graph import build_proximity
+from repro.regions.city import manhattan_like
 
 
 @pytest.fixture
@@ -68,6 +69,37 @@ class TestSpatialFactorizer:
         out_other = f(Tensor(unrelated)).numpy()
         assert np.abs(out_base - out_bump).mean() \
             < np.abs(out_base - out_other).mean()
+
+    def test_fake_coarse_nodes_do_not_leak_into_cluster_means(self):
+        """Regression: at pooling level 1 a fake node's activation is
+        relu(bias), not 0.  On the NYC-67 coarsening 2 of the 18 stage-2
+        clusters pair a real node with a fake one; with a stage-2 bias
+        of 0.3 they used to pool to 0.6 instead of their real node's
+        0.3.  Both the reference pooling and the fused kernel must
+        average real nodes only."""
+        f = SpatialFactorizer(manhattan_like(seed=0).proximity(), 7, 5,
+                              np.random.default_rng(0))
+        pool, conv = f.pools[1], f.convs[1]
+        members = (pool.pooling_matrix() > 0).sum(axis=0)
+        assert pool.start_level == 1 and pool.output_size == 18
+        assert pool.pooling_matrix().shape == (36, 18)
+        assert (members == 1).sum() == 2
+        conv.weight.data[...] = 0.0
+        conv.bias.data[...] = 0.3
+        history = Tensor(np.random.default_rng(1).uniform(size=(2, 67, 7)))
+        # Reference path: relu(bias) everywhere, then the cluster means.
+        with ops.use_fused(False):
+            level1 = f.pools[0](ops.relu(f.convs[0](history)))
+            pooled = pool(ops.relu(conv(level1)))
+        assert np.allclose(pooled.data, 0.3, rtol=0, atol=1e-15)
+        # Fused kernel: its cached head input is the stage-2 pooling.
+        _, cache = f.encoder.op(history.data.transpose(2, 0, 1))
+        assert np.allclose(cache[-2], 0.3, rtol=0, atol=1e-15)
+        with ops.use_fused(True):
+            fused = f(history).data
+        with ops.use_fused(False):
+            reference = f(history).data
+        assert np.allclose(fused, reference, rtol=1e-12, atol=1e-12)
 
 
 class TestFactorizeTensorBatch:
