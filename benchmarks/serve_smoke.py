@@ -7,7 +7,7 @@ Five checks at smoke scale (see docs/SERVING.md), results recorded in
 1. **Parity** — a forecast served through the full stack (registry ->
    checksummed checkpoint -> inference tape -> response cache) must be
    bit-identical to calling ``forecast_latest`` on the fitted
-   forecaster directly, for both the replay and the lowered inference
+   forecaster directly, for both the eager and the replay inference
    engines, cold and warm.  Any divergence means the serving path no
    longer computes what the paper's model computes.
 2. **Cache speedup** — a response-cache hit must be at least
@@ -53,7 +53,7 @@ from repro.forecast import forecast_latest
 from repro.persistence import save_checkpoint
 from repro.histograms.histogram import HistogramSpec
 from repro.histograms.tensor_builder import ODTensorSequence
-from repro.serve import (ForecastRequest, ForecastResponse,
+from repro.serve import (SERVE_ENGINES, ForecastRequest, ForecastResponse,
                          ForecastService, ForecastWorkerPool, ModelKey,
                          ServeConfig, ShedError)
 from repro.serve_shm import leaked_segments, slot_bytes_for
@@ -95,7 +95,7 @@ def check_parity(data, budget, forecaster, path, key):
     parity = {}
     t = data.sequence.n_intervals
     tails = [data.sequence.slice(0, t - i) for i in range(3)]
-    for engine in ("replay", "lowered"):
+    for engine in SERVE_ENGINES:
         service = _service(engine, data, budget, path, key)
         exact = True
         for repeat in range(2):              # cold pass, then warm pass
@@ -404,7 +404,7 @@ def main() -> int:
     if failures:
         print(f"serve smoke: FAIL ({'; '.join(failures)})")
         return 1
-    print(f"serve smoke: OK (replay+lowered bit-identical to "
+    print(f"serve smoke: OK (eager+replay bit-identical to "
           f"forecast_latest, cache hit {cache['speedup']:.0f}x vs cold, "
           f"{throughput['forecasts_per_sec']:,.0f} forecasts/s, "
           f"p50 {throughput['p50_ms']:.2f}ms / "

@@ -24,11 +24,6 @@ python3 benchmarks/chaos_smoke.py || exit 1
 # step must hold its >= 1.2x speedup (see docs/EXECUTION.md).
 python3 benchmarks/replay_smoke.py || exit 1
 
-# Tape-lowering gate: the compiled instruction plan must stay
-# bit-for-bit identical to eager, compile both tapes without fallback,
-# and beat plain replay on the AF step (see docs/EXECUTION.md).
-python3 benchmarks/lowered_smoke.py || exit 1
-
 # Serving gate: forecasts served through the registry/cache/inference
 # tapes must stay bit-identical to forecast_latest, the response cache
 # must stay >= 5x faster than a cold forward, and the request stream
@@ -52,11 +47,12 @@ python3 benchmarks/shard_smoke.py || exit 1
 # outside tier-1's testpaths (see perfbench/README.md).
 python3 -m pytest perfbench -q -p no:cacheprovider || exit 1
 
-# Kernel microbenchmarks first: fused vs. reference autodiff ops and
-# one AF/BF training step.  Writes BENCH_AUTODIFF.json at the repo root.
+# Kernel microbenchmarks: fused vs. reference autodiff ops, one AF/BF
+# training step, and eager vs. replay.  Writes BENCH_AUTODIFF.json at
+# the repo root.
 python3 benchmarks/microbench.py \
     --scale "${REPRO_BENCH_SCALE:-full}" \
-    2>&1 | tee bench_autodiff_output.txt
+    2>&1 | tee bench_autodiff_output.txt || exit 1
 
 python3 -m pytest benchmarks/ --benchmark-only -p no:cacheprovider -s -q \
     2>&1 | tee bench_output.txt

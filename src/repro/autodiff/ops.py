@@ -210,7 +210,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 tensor_i._accumulate(grad[tuple(index)])
 
     out = Tensor._make(_run_forward(run), tuple(tensors), backward)
-    _record(out, run, ("concat", {"tensors": tuple(tensors), "axis": axis}))
+    _record(out, run)
     return out
 
 
@@ -228,7 +228,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 tensor_i._accumulate(slab)
 
     out = Tensor._make(_run_forward(run), tuple(tensors), backward)
-    _record(out, run, ("stack", {"tensors": tuple(tensors), "axis": axis}))
+    _record(out, run)
     return out
 
 
@@ -321,7 +321,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator,
             x._accumulate(grad * mask)
 
     out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run, ("dropout", {"x": x, "keep": keep, "rng": rng}))
+    _record(out, run)
     return out
 
 
@@ -962,8 +962,7 @@ def fused_gru_gates(x: Tensor, h: Tensor,
                 b_cand._accumulate(dpre_c.sum(axis=lead))
 
     out = Tensor._make(_run_forward(run), (x, h) + params, backward)
-    _record(out, run, ("fused_gru_gates",
-                       {"x": x, "h": h, "params": params, "hidden": hidden}))
+    _record(out, run)
     return out
 
 
@@ -1139,10 +1138,7 @@ def fused_twin_cheb_conv(lap2: np.ndarray, x: Tensor,
 
     out = Tensor._make(_run_forward(run), (x, w_a, b_a, w_b, b_b),
                        backward)
-    _record(out, run, ("fused_twin_cheb_conv",
-                       {"x": x, "w_a": w_a, "b_a": b_a, "w_b": w_b,
-                        "b_b": b_b, "order": order, "lap_b": lap_b,
-                        "lap_t": lap_t}))
+    _record(out, run)
     return out
 
 
@@ -1255,13 +1251,7 @@ def fused_twin_cnrnn_cell(lap2: np.ndarray, x: Tensor, h: Tensor,
     out = Tensor._make(_run_forward(run),
                        (x, h) + tuple(params_a) + tuple(params_b),
                        backward)
-    _record(out, run, ("fused_twin_cnrnn_cell",
-                       {"x": x, "h": h,
-                        "params_a": (w_reset_a, b_reset_a, w_update_a,
-                                     b_update_a, w_cand_a, b_cand_a),
-                        "params_b": (w_reset_b, b_reset_b, w_update_b,
-                                     b_update_b, w_cand_b, b_cand_b),
-                        "order": order, "lap_b": lap_b, "lap_t": lap_t}))
+    _record(out, run)
     return out
 
 
@@ -1312,7 +1302,7 @@ def fused_softmax_recovery(r_factors: Tensor, c_factors: Tensor) -> Tensor:
                 _unbroadcast(np.moveaxis(dc, -3, -1), c.shape))
 
     out = Tensor._make(_run_forward(run), (r, c), backward)
-    _record(out, run, ("fused_softmax_recovery", {"r": r, "c": c}))
+    _record(out, run)
     return out
 
 
@@ -1376,9 +1366,7 @@ def fused_masked_frobenius(prediction: Tensor, truth: np.ndarray,
                 prediction.shape))
 
     out = Tensor._make(_run_forward(run), (prediction,), backward)
-    _record(out, run, ("fused_masked_frobenius",
-                       {"prediction": prediction, "truth": truth_arr,
-                        "mask": mask_arr, "weights": weights}))
+    _record(out, run)
     return out
 
 

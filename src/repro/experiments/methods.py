@@ -35,8 +35,7 @@ class MethodBudget:
     seed: int = 0
     verbose: bool = False
     #: Training-step execution engine (``"eager"``/``"replay"``); replay
-    #: is bit-for-bit identical and faster on fixed-shape batches (see
-    #: docs/EXECUTION.md).
+    #: is bit-for-bit identical (measured costs in docs/EXECUTION.md).
     engine: str = "eager"
 
     def train_config(self) -> TrainConfig:

@@ -19,7 +19,7 @@ from .divergence import METRICS
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    """Outcome of a paired bootstrap comparison (A vs B, lower=better).
+    """Outcome of a paired bootstrap comparison (A vs B, lower is better).
 
     Attributes
     ----------

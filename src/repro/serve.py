@@ -94,9 +94,9 @@ __all__ = [
 ]
 
 #: Engine names a loaded model can execute with ("eager" bypasses the
-#: inference tapes entirely; "replay"/"lowered" wrap the model in an
+#: inference tapes entirely; "replay" wraps the model in an
 #: :class:`InferenceEngine`).
-SERVE_ENGINES = ("eager", "replay", "lowered")
+SERVE_ENGINES = ("eager", "replay")
 
 #: Data-plane transports for :class:`ForecastWorkerPool` ("shm" ships
 #: array bytes through a per-worker shared-memory slot ring and falls
@@ -137,10 +137,6 @@ class ServeConfig:
     batch_window: float = 0.002
     #: Hard ceiling on coalesced batch size.
     max_batch: int = 32
-    #: Per-request worker timeout (seconds); None waits forever.
-    request_timeout: Optional[float] = 30.0
-    #: Worker attempts per request beyond the first (respawn + retry).
-    retries: int = 1
     #: Degrade to the last known answer instead of failing outright.
     stale_ok: bool = True
 
@@ -308,8 +304,7 @@ class ModelRegistry:
         model.eval()
         engine = None
         if self.config.engine != "eager":
-            engine = InferenceEngine(
-                model, lower=(self.config.engine == "lowered"))
+            engine = InferenceEngine(model)
             if warm is not None:
                 self._warm(key, model, engine, warm)
         self.loads += 1
@@ -886,6 +881,8 @@ class ForecastWorkerPool:
                 "ForecastWorkerPool needs the fork start method")
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
+        if retries < 0:
+            raise ValueError("retries must be >= 0")
         if transport not in SERVE_TRANSPORTS:
             raise ValueError(
                 f"transport must be one of {SERVE_TRANSPORTS}, got "

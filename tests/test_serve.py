@@ -343,8 +343,12 @@ class TestForecastService:
         service.close()
 
     def test_engine_validation(self):
-        with pytest.raises(ValueError, match="engine"):
-            ServeConfig(engine="gpu")
+        from repro.cli import build_parser
+        for engine in ("gpu", "lowered"):
+            with pytest.raises(ValueError, match="engine"):
+                ServeConfig(engine=engine)
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", "--engine", engine])
 
 
 class TestForecastWorkerPool:
@@ -709,6 +713,13 @@ class TestShmTransport:
         with pytest.raises(ValueError, match="transport"):
             ForecastWorkerPool(self._factory(served, ModelKey("toy")),
                                n_workers=1, transport="tcp")
+
+    def test_negative_retries_rejected(self, served):
+        """retries=-1 would leave no attempt at all: every request
+        would degrade without a worker ever being asked."""
+        with pytest.raises(ValueError, match="retries"):
+            ForecastWorkerPool(self._factory(served, ModelKey("toy")),
+                               n_workers=1, retries=-1)
 
     def test_respawn_unlinks_dead_workers_segment(self, served):
         """Regression: a SIGKILLed worker never runs its cleanup, so
