@@ -47,9 +47,9 @@ python3 benchmarks/shard_smoke.py || exit 1
 # outside tier-1's testpaths (see perfbench/README.md).
 python3 -m pytest perfbench -q -p no:cacheprovider || exit 1
 
-# Kernel microbenchmarks: fused vs. reference autodiff ops, one AF/BF
-# training step, and eager vs. replay.  Writes BENCH_AUTODIFF.json at
-# the repo root.
+# Engine microbenchmark: eager vs. replay on one AF/BF training step,
+# a smoke fit per engine, and a per-op profile.  Writes
+# BENCH_AUTODIFF.json at the repo root.
 python3 benchmarks/microbench.py \
     --scale "${REPRO_BENCH_SCALE:-full}" \
     2>&1 | tee bench_autodiff_output.txt || exit 1

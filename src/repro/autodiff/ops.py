@@ -18,7 +18,6 @@ runs when the op is built (eager and capture), not on replay.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -462,42 +461,14 @@ def _pool_axis(x: Tensor, axis: int, stride: int, how: str) -> Tensor:
 # otherwise dominate training wall-clock (see docs/AUTODIFF.md, "Fused
 # kernels").
 #
-# Every fused op keeps a ``*_reference`` twin built from the primitive
-# ops above.  The twins are the ground truth for the gradcheck parity
-# tests in tests/test_autodiff_fused.py and power the fused-vs-reference
-# microbenchmark (benchmarks/microbench.py); ``set_fused(False)`` or the
-# ``use_fused(False)`` context manager routes the public entry points
-# through them.
+# Each kernel has exactly one implementation here.  Their primitive-op
+# compositions, the ground truth of the gradcheck parity tests, live
+# with the tests (tests/oracles.py).
 #
 # Replay note: fused thunks re-read parameter arrays (and rebuild the
-# stacked/concatenated weight blocks the twin kernels use) on every run,
+# stacked/concatenated weight blocks of stacked sides) on every run,
 # so optimizer updates and load_state_dict are always reflected.  Graph
 # Laplacians are structural constants — captured once, never rebuilt.
-
-_FUSED_ENABLED = True
-
-
-def fused_enabled() -> bool:
-    """Whether the fused kernels are active (vs. the reference paths)."""
-    return _FUSED_ENABLED
-
-
-def set_fused(enabled: bool) -> bool:
-    """Enable/disable the fused kernels globally; returns the old value."""
-    global _FUSED_ENABLED
-    previous = _FUSED_ENABLED
-    _FUSED_ENABLED = bool(enabled)
-    return previous
-
-
-@contextlib.contextmanager
-def use_fused(enabled: bool):
-    """Context manager scoping :func:`set_fused`."""
-    previous = set_fused(enabled)
-    try:
-        yield
-    finally:
-        set_fused(previous)
 
 
 def _constant_array(value: Union[Tensor, np.ndarray]) -> np.ndarray:
@@ -509,24 +480,6 @@ def _constant_array(value: Union[Tensor, np.ndarray]) -> np.ndarray:
                 "not require grad")
         return value.data
     return np.asarray(value)
-
-
-# ----------------------------------------------------------------------
-# Chebyshev propagation (ChebConv's recursion, paper Eq. 5)
-# ----------------------------------------------------------------------
-def cheb_propagate_reference(lap: Union[Tensor, np.ndarray], x: Tensor,
-                             order: int) -> Tensor:
-    """Unfused Chebyshev recursion from primitive ops (ground truth)."""
-    if order < 1:
-        raise ValueError(f"Chebyshev order must be >= 1, got {order}")
-    lap = lap if isinstance(lap, Tensor) else Tensor(np.asarray(lap))
-    x = _ensure_tensor(x)
-    terms = [x]
-    if order > 1:
-        terms.append(lap.matmul(x))
-    for _ in range(2, order):
-        terms.append(2.0 * lap.matmul(terms[-1]) - terms[-2])
-    return stack(terms, axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -600,9 +553,49 @@ def _cheb_adjoint(lap_t: np.ndarray, dmixed: np.ndarray,
     return adj[0]
 
 
+def _stacked_sides(lap: Union[Tensor, np.ndarray], params: Sequence):
+    """Resolve a stage-2 kernel's optional leading side axis.
+
+    A 2-D ``lap (N, N)`` is one side and every entry of ``params`` one
+    Tensor.  A ``(P, N, N)`` Laplacian stacks P sides: every entry of
+    ``params`` is then a length-P sequence, side ``p`` running on
+    ``lap[p]`` with the ``p``-th Tensor of each entry.  Returns the
+    Laplacian broadcastable against ``(*lead, B, N, C)`` signals, the
+    leading shape ``lead`` (``()`` or ``(P,)``), and ``params`` as
+    per-side tuples.
+    """
+    lap_data = _constant_array(lap)
+    if lap_data.ndim == 2:
+        return lap_data, (), [(p,) for p in params]
+    per_side = [tuple(p) for p in params]
+    sides = lap_data.shape[0]
+    if lap_data.ndim != 3 or any(len(p) != sides for p in per_side):
+        raise ValueError(
+            f"a ({sides}, N, N) Laplacian stacks {sides} sides; every "
+            f"parameter must be a sequence of {sides} per-side tensors")
+    return lap_data[:, None], (sides,), per_side
+
+
+def _join(arrays: Sequence[np.ndarray], lead: tuple) -> np.ndarray:
+    """Per-side arrays stacked on the side axis (one side: as is)."""
+    return np.stack(arrays) if lead else arrays[0]
+
+
+def _bias_rows(bias: np.ndarray) -> np.ndarray:
+    """``(*lead, Q)`` biases broadcastable against ``(*lead, B, N, Q)``."""
+    return bias.reshape(bias.shape[:-1] + (1, 1, bias.shape[-1]))
+
+
+def _accumulate_sides(params: Sequence[Tensor], grad: np.ndarray,
+                      lead: tuple) -> None:
+    """Hand each side's slab of a stacked gradient to its parameter."""
+    for param, g in zip(params, grad if lead else (grad,)):
+        if param.requires_grad:
+            param._accumulate(g)
+
+
 def cheb_conv(lap: Union[Tensor, np.ndarray], x: Tensor, weight: Tensor,
-              bias: Tensor, order: int,
-              basis: np.ndarray = None) -> Tensor:
+              bias: Tensor, order: int) -> Tensor:
     """A whole Cheby-Net graph convolution (Eq. 5) as one node.
 
     Layout juggling, Chebyshev recursion, channel mixing, and bias — the
@@ -610,91 +603,55 @@ def cheb_conv(lap: Union[Tensor, np.ndarray], x: Tensor, weight: Tensor,
     single node: ``x (B, N, C)`` → ``(B, N, Q)`` with
     ``weight (C·order, Q)`` and ``bias (Q,)``.
 
-    ``basis`` is an optional precomputed polynomial basis
-    ``(order·N, N)`` holding the stacked Chebyshev matrices
-    ``T_0(L) … T_{order-1}(L)`` (see
-    :meth:`repro.graph.ChebConv.polynomial_basis`).  When given, the
-    term recursion collapses into a single GEMM ``basis @ x`` forward
-    and ``basisᵀ @ dterms`` backward.  The polynomial values agree with
-    the recursion up to float round-off (the basis evaluates
-    ``T_s(L)·x`` as ``(T_s(L))·x`` instead of the nested recursion), so
-    a layer must use one path consistently within a run.
+    A ``(P, N, N)`` Laplacian stacks P independent sides (the AF's R
+    and C decoder projections): ``x`` is then ``(P, B, N, C)`` and
+    ``weight``/``bias`` are length-P sequences, side ``p`` convolved
+    with ``(weight[p], bias[p])`` on ``lap[p]``; the mix, the weight
+    gradients and the adjoint seed are one batched GEMM each.
     """
     if order < 1:
         raise ValueError(f"Chebyshev order must be >= 1, got {order}")
-    if not fused_enabled():
-        return cheb_conv_reference(lap, x, weight, bias, order)
     x = _ensure_tensor(x)
-    if x.ndim != 3:
-        raise ValueError(f"cheb_conv expects (batch, N, C) input, "
-                         f"got shape {x.shape}")
-    lap_data = _constant_array(lap)
-    batch, n, channels = x.shape
-    if lap_data.shape != (n, n):
+    lap_b, lead, (weights, biases) = _stacked_sides(lap, (weight, bias))
+    if x.ndim != len(lead) + 3 or x.shape[:len(lead)] != lead:
+        raise ValueError(f"cheb_conv expects {lead + ('B', 'N', 'C')} "
+                         f"input, got shape {x.shape}")
+    batch, n, channels = x.shape[-3:]
+    if lap_b.shape[-2:] != (n, n):
         raise ValueError(
-            f"Laplacian shape {lap_data.shape} does not match signal "
+            f"Laplacian shape {lap_b.shape[-2:]} does not match signal "
             f"with {n} nodes")
-    if weight.shape != (channels * order, weight.shape[-1]):
+    q = weights[0].shape[-1]
+    if any(w.shape != (channels * order, q) for w in weights):
         raise ValueError(
-            f"weight shape {weight.shape} does not match "
+            f"weight shape {weights[0].shape} does not match "
             f"{channels} channels x order {order}")
-    q = weight.shape[-1]
-    lap_t = lap_data.T
-    use_basis = basis is not None and order > 1
-    basis_t = basis.T if use_basis else None
-    feats = None
+    lap_t = np.swapaxes(lap_b, -1, -2)
+    feats = w = None
 
     def run() -> np.ndarray:
-        nonlocal feats
-        if use_basis:
-            # (S·N, N) @ (B, N, C) -> (B, S·N, C); relayout into the
-            # interleaved (B·N, C·S) feature matrix _cheb_feats builds.
-            stacked = np.matmul(basis, x.data)
-            feats = np.ascontiguousarray(
-                stacked.reshape(batch, order, n, channels)
-                .transpose(0, 2, 3, 1)).reshape(batch * n,
-                                                channels * order)
-        else:
-            feats = _cheb_feats(_cheb_terms(lap_data, x.data, order),
-                                order)
-        out = (feats @ weight.data).reshape(batch, n, q)
-        out += bias.data
+        nonlocal feats, w
+        feats = _cheb_feats(_cheb_terms(lap_b, x.data, order), order)
+        w = _join([wt.data for wt in weights], lead)
+        out = np.matmul(feats, w).reshape(lead + (batch, n, q))
+        out += _bias_rows(_join([bt.data for bt in biases], lead))
         return out
 
     def backward(grad: np.ndarray) -> None:
-        gm = grad.reshape(batch * n, q)
-        if weight.requires_grad:
-            weight._accumulate(feats.T @ gm)
-        if bias.requires_grad:
-            bias._accumulate(gm.sum(axis=0))
+        gm = grad.reshape(lead + (batch * n, q))
+        if any(wt.requires_grad for wt in weights):
+            _accumulate_sides(
+                weights, np.matmul(np.swapaxes(feats, -1, -2), gm), lead)
+        if any(bt.requires_grad for bt in biases):
+            _accumulate_sides(biases, gm.sum(axis=-2), lead)
         if x.requires_grad:
-            if use_basis:
-                dfull = (gm @ weight.data.T).reshape(batch, n, channels,
-                                                     order)
-                dstacked = np.ascontiguousarray(
-                    dfull.transpose(0, 3, 1, 2)).reshape(
-                        batch, order * n, channels)
-                x._accumulate(np.matmul(basis_t, dstacked))
-            else:
-                x._accumulate(_cheb_adjoint(
-                    lap_t, gm, weight.data, (batch, n, channels), order))
+            x._accumulate(_cheb_adjoint(
+                lap_t, gm, w, lead + (batch, n, channels), order))
 
-    out = Tensor._make(_run_forward(run), (x, weight, bias), backward)
+    params = tuple(p for side in zip(weights, biases) for p in side)
+    out = Tensor._make(_run_forward(run), (x,) + params, backward)
     _record(out, run)
     return out
-
-
-def cheb_conv_reference(lap: Union[Tensor, np.ndarray], x: Tensor,
-                        weight: Tensor, bias: Tensor, order: int) -> Tensor:
-    """Unfused Cheby-Net convolution from primitive ops (ground truth)."""
-    x = _ensure_tensor(x)
-    batch, n, channels = x.shape
-    flat = x.transpose((1, 0, 2)).reshape(n, batch * channels)
-    stacked = cheb_propagate_reference(lap, flat, order)
-    features = stacked.reshape(n * batch, channels * order)
-    mixed = features.matmul(weight)
-    out = mixed.reshape(n, batch, weight.shape[-1])
-    return out.transpose((1, 0, 2)) + bias
 
 
 # ----------------------------------------------------------------------
@@ -860,8 +817,7 @@ def gcnn_encoder(x: Tensor, encoder: GCNNEncoder) -> Tensor:
 
     ``x (C, *rows, n)`` is node-last (channels, slices, graph nodes);
     the output is ``(K, *rows, R)``.  Forward and backward are
-    :meth:`GCNNEncoder.op` / :meth:`GCNNEncoder.adj_op`; the reference
-    is the factorizer's primitive composition under ``use_fused(False)``.
+    :meth:`GCNNEncoder.op` / :meth:`GCNNEncoder.adj_op`.
     """
     x = _ensure_tensor(x)
     if x.ndim < 3 or x.shape[0] != encoder.in_channels \
@@ -906,9 +862,6 @@ def fused_gru_gates(x: Tensor, h: Tensor,
     blend — with a single hand-written backward.  ``x`` is
     ``(..., input)``, ``h`` is ``(..., hidden)``.
     """
-    if not fused_enabled():
-        return fused_gru_gates_reference(x, h, w_reset, b_reset, w_update,
-                                         b_update, w_cand, b_cand)
     x, h = _ensure_tensor(x), _ensure_tensor(h)
     params = (w_reset, b_reset, w_update, b_update, w_cand, b_cand)
     hidden = h.shape[-1]
@@ -966,20 +919,6 @@ def fused_gru_gates(x: Tensor, h: Tensor,
     return out
 
 
-def fused_gru_gates_reference(x: Tensor, h: Tensor,
-                              w_reset: Tensor, b_reset: Tensor,
-                              w_update: Tensor, b_update: Tensor,
-                              w_cand: Tensor, b_cand: Tensor) -> Tensor:
-    """Unfused GRU cell from primitive ops (ground truth)."""
-    x, h = _ensure_tensor(x), _ensure_tensor(h)
-    hx = concat([h, x], axis=-1)
-    reset = sigmoid(hx.matmul(w_reset) + b_reset)
-    update = sigmoid(hx.matmul(w_update) + b_update)
-    rhx = concat([reset * h, x], axis=-1)
-    candidate = tanh(rhx.matmul(w_cand) + b_cand)
-    return update * h + (1.0 - update) * candidate
-
-
 # ----------------------------------------------------------------------
 # Whole CNRNN cell (paper Eqs. 7-10)
 # ----------------------------------------------------------------------
@@ -995,33 +934,40 @@ def fused_cnrnn_cell(lap: Union[Tensor, np.ndarray], x: Tensor, h: Tensor,
     weights), the nonlinearities, and the Eq. 10 state blend all run in
     raw numpy with one hand-written backward.  ``x (B, N, C_in)``,
     ``h (B, N, H)`` → ``(B, N, H)``.
+
+    A ``(P, N, N)`` Laplacian stacks P architecture-identical cells (the
+    AF's R and C recurrences): ``x``/``h`` gain a leading side axis and
+    every weight/bias argument is a length-P sequence, so each gate GEMM
+    runs batched over the sides (see :func:`cheb_conv`).
     """
-    if not fused_enabled():
-        return fused_cnrnn_cell_reference(lap, x, h, w_reset, b_reset,
-                                          w_update, b_update, w_cand,
-                                          b_cand, order)
     x, h = _ensure_tensor(x), _ensure_tensor(h)
-    params = (w_reset, b_reset, w_update, b_update, w_cand, b_cand)
-    lap_data = _constant_array(lap)
-    batch, n, cx = x.shape
+    lap_b, lead, per_side = _stacked_sides(
+        lap, (w_reset, b_reset, w_update, b_update, w_cand, b_cand))
+    w_rs, b_rs, w_us, b_us, w_cs, b_cs = per_side
+    batch, n, cx = x.shape[-3:]
     hidden = h.shape[-1]
     joint = hidden + cx
-    lap_t = lap_data.T
-    hx = f_hx = w_ru = ru = r = u = rhx = f_rhx = c = hmc = None
+    lap_t = np.swapaxes(lap_b, -1, -2)
+    hx = f_hx = w_ru = ru = r = u = rhx = f_rhx = w_c = c = hmc = None
 
     def run() -> np.ndarray:
-        nonlocal hx, f_hx, w_ru, ru, r, u, rhx, f_rhx, c, hmc
+        nonlocal hx, f_hx, w_ru, ru, r, u, rhx, f_rhx, w_c, c, hmc
         hx = np.concatenate([h.data, x.data], axis=-1)
-        f_hx = _cheb_feats(_cheb_terms(lap_data, hx, order), order)
-        w_ru = np.concatenate([w_reset.data, w_update.data], axis=1)
-        b_ru = np.concatenate([b_reset.data, b_update.data])
-        pre_ru = f_hx @ w_ru                            # (B*N, 2H)
-        ru = _stable_sigmoid(pre_ru.reshape(batch, n, 2 * hidden) + b_ru)
+        f_hx = _cheb_feats(_cheb_terms(lap_b, hx, order), order)
+        w_ru = _join([np.concatenate([wr.data, wu.data], axis=1)
+                      for wr, wu in zip(w_rs, w_us)], lead)
+        b_ru = _join([np.concatenate([br.data, bu.data])
+                      for br, bu in zip(b_rs, b_us)], lead)
+        pre_ru = np.matmul(f_hx, w_ru)                  # (*, B·N, 2H)
+        ru = _stable_sigmoid(
+            pre_ru.reshape(lead + (batch, n, 2 * hidden))
+            + _bias_rows(b_ru))
         r, u = ru[..., :hidden], ru[..., hidden:]
         rhx = np.concatenate([r * h.data, x.data], axis=-1)
-        f_rhx = _cheb_feats(_cheb_terms(lap_data, rhx, order), order)
-        c = np.tanh((f_rhx @ w_cand.data)
-                    .reshape(batch, n, hidden) + b_cand.data)
+        f_rhx = _cheb_feats(_cheb_terms(lap_b, rhx, order), order)
+        w_c = _join([wc.data for wc in w_cs], lead)
+        c = np.tanh(np.matmul(f_rhx, w_c).reshape(lead + (batch, n, hidden))
+                    + _bias_rows(_join([bc.data for bc in b_cs], lead)))
         hmc = h.data - c
         return c + u * hmc                              # Eq. 10 blend
 
@@ -1033,224 +979,38 @@ def fused_cnrnn_cell(lap: Union[Tensor, np.ndarray], x: Tensor, h: Tensor,
         dru = ru * (1.0 - ru)
         dpre_u = (grad * hmc) * dru[..., hidden:]
         # Candidate convolution adjoint (through rhx = [r·h, x]).
-        dpre_c_flat = dpre_c.reshape(batch * n, hidden)
-        if w_cand.requires_grad:
-            w_cand._accumulate(f_rhx.T @ dpre_c_flat)
-        if b_cand.requires_grad:
-            b_cand._accumulate(dpre_c_flat.sum(axis=0))
-        drhx = _cheb_adjoint(lap_t, dpre_c_flat, w_cand.data,
-                             (batch, n, joint), order)
+        dpre_c_flat = dpre_c.reshape(lead + (batch * n, hidden))
+        if any(w.requires_grad for w in w_cs):
+            _accumulate_sides(w_cs, np.matmul(np.swapaxes(f_rhx, -1, -2),
+                                              dpre_c_flat), lead)
+        if any(b.requires_grad for b in b_cs):
+            _accumulate_sides(b_cs, dpre_c_flat.sum(axis=-2), lead)
+        drhx = _cheb_adjoint(lap_t, dpre_c_flat, w_c,
+                             lead + (batch, n, joint), order)
         drh = drhx[..., :hidden]
         dpre_r = (drh * h.data) * dru[..., :hidden]
         dh += drh * r
         # Gate convolutions' adjoint (shared GEMMs through hx = [h, x]).
         dpre_ru_flat = np.concatenate(
-            [dpre_r.reshape(batch * n, hidden),
-             dpre_u.reshape(batch * n, hidden)], axis=1)
-        if w_reset.requires_grad or w_update.requires_grad:
-            dw_ru = f_hx.T @ dpre_ru_flat
-            if w_reset.requires_grad:
-                w_reset._accumulate(dw_ru[:, :hidden])
-            if w_update.requires_grad:
-                w_update._accumulate(dw_ru[:, hidden:])
-        if b_reset.requires_grad or b_update.requires_grad:
-            db_ru = dpre_ru_flat.sum(axis=0)
-            if b_reset.requires_grad:
-                b_reset._accumulate(db_ru[:hidden])
-            if b_update.requires_grad:
-                b_update._accumulate(db_ru[hidden:])
-        dhx = _cheb_adjoint(lap_t, dpre_ru_flat, w_ru,
-                            (batch, n, joint), order)
-        if h.requires_grad:
-            h._accumulate(dh + dhx[..., :hidden])
-        if x.requires_grad:
-            x._accumulate(drhx[..., hidden:] + dhx[..., hidden:])
-
-    out = Tensor._make(_run_forward(run), (x, h) + params, backward)
-    _record(out, run)
-    return out
-
-
-def fused_cnrnn_cell_reference(lap: Union[Tensor, np.ndarray], x: Tensor,
-                               h: Tensor,
-                               w_reset: Tensor, b_reset: Tensor,
-                               w_update: Tensor, b_update: Tensor,
-                               w_cand: Tensor, b_cand: Tensor,
-                               order: int) -> Tensor:
-    """Unfused CNRNN step from primitive ops (ground truth)."""
-    x, h = _ensure_tensor(x), _ensure_tensor(h)
-    hx = concat([h, x], axis=-1)
-    reset = sigmoid(cheb_conv_reference(lap, hx, w_reset, b_reset, order))
-    update = sigmoid(cheb_conv_reference(lap, hx, w_update, b_update,
-                                         order))
-    rhx = concat([reset * h, x], axis=-1)
-    candidate = tanh(cheb_conv_reference(lap, rhx, w_cand, b_cand, order))
-    return update * h + (1.0 - update) * candidate
-
-
-# ----------------------------------------------------------------------
-# Twin CNRNN kernels: both factor RNNs of the AF in one stacked call
-# ----------------------------------------------------------------------
-def fused_twin_cheb_conv(lap2: np.ndarray, x: Tensor,
-                         w_a: Tensor, b_a: Tensor,
-                         w_b: Tensor, b_b: Tensor, order: int) -> Tensor:
-    """Two same-shaped Cheby-Net convolutions as one batched node.
-
-    ``x (2, B, N, C)`` carries two independent graph signals; side 0 is
-    convolved with ``(w_a, b_a)`` on ``lap2[0]``, side 1 with
-    ``(w_b, b_b)`` on ``lap2[1]`` — one batched GEMM each for the mix,
-    the weight gradients, and the adjoint seed.  Used by
-    :func:`repro.core.cnrnn.twin_forecast` for the AF's decoder
-    projections.
-    """
-    x = _ensure_tensor(x)
-    two, batch, n, channels = x.shape
-    lap_b = _constant_array(lap2)[:, None]              # (2, 1, N, N)
-    q = w_a.shape[-1]
-    lap_t = np.swapaxes(lap_b, -1, -2)
-    feats = w2 = None
-
-    def run() -> np.ndarray:
-        nonlocal feats, w2
-        feats = _cheb_feats(_cheb_terms(lap_b, x.data, order), order)
-        w2 = np.stack([w_a.data, w_b.data])             # (2, C·S, Q)
-        b2 = np.stack([b_a.data, b_b.data])             # (2, Q)
-        return np.matmul(feats, w2).reshape(two, batch, n, q) \
-            + b2[:, None, None]
-
-    def backward(grad: np.ndarray) -> None:
-        gm = grad.reshape(two, batch * n, q)
-        if w_a.requires_grad or w_b.requires_grad:
-            dw = np.matmul(np.swapaxes(feats, -1, -2), gm)
-            if w_a.requires_grad:
-                w_a._accumulate(dw[0])
-            if w_b.requires_grad:
-                w_b._accumulate(dw[1])
-        if b_a.requires_grad or b_b.requires_grad:
-            db = gm.sum(axis=1)
-            if b_a.requires_grad:
-                b_a._accumulate(db[0])
-            if b_b.requires_grad:
-                b_b._accumulate(db[1])
-        if x.requires_grad:
-            x._accumulate(_cheb_adjoint(
-                lap_t, gm, w2, (two, batch, n, channels), order))
-
-    out = Tensor._make(_run_forward(run), (x, w_a, b_a, w_b, b_b),
-                       backward)
-    _record(out, run)
-    return out
-
-
-def fused_twin_cnrnn_cell(lap2: np.ndarray, x: Tensor, h: Tensor,
-                          params_a: Sequence[Tensor],
-                          params_b: Sequence[Tensor],
-                          order: int) -> Tensor:
-    """Two architecture-identical CNRNN steps as one stacked node.
-
-    The AF forecasts its two factor sequences with independent CNRNNs
-    whose cells have identical shapes; stacking both sides into
-    ``x (2, B, N, C)`` / ``h (2, B, N, H)`` lets every gate GEMM run
-    batched over the pair (halving the per-step dispatch overhead of
-    :func:`fused_cnrnn_cell`, whose math this mirrors exactly).
-    ``params_a``/``params_b`` are each
-    ``(w_reset, b_reset, w_update, b_update, w_cand, b_cand)``;
-    ``lap2 (2, N, N)`` holds each side's scaled Laplacian.
-    """
-    x, h = _ensure_tensor(x), _ensure_tensor(h)
-    w_reset_a, b_reset_a, w_update_a, b_update_a, w_cand_a, b_cand_a = \
-        params_a
-    w_reset_b, b_reset_b, w_update_b, b_update_b, w_cand_b, b_cand_b = \
-        params_b
-    lap_b = _constant_array(lap2)[:, None]              # (2, 1, N, N)
-    two, batch, n, cx = x.shape
-    hidden = h.shape[-1]
-    joint = hidden + cx
-    lap_t = np.swapaxes(lap_b, -1, -2)
-    hx = f_hx = w_ru = ru = r = u = rhx = f_rhx = None
-    w_cand = c = hmc = None
-
-    def run() -> np.ndarray:
-        nonlocal hx, f_hx, w_ru, ru, r, u, rhx, f_rhx, w_cand, c, hmc
-        hx = np.concatenate([h.data, x.data], axis=-1)  # (2, B, N, J)
-        f_hx = _cheb_feats(_cheb_terms(lap_b, hx, order), order)
-        w_ru = np.stack([
-            np.concatenate([w_reset_a.data, w_update_a.data], axis=1),
-            np.concatenate([w_reset_b.data, w_update_b.data], axis=1)])
-        b_ru = np.stack([
-            np.concatenate([b_reset_a.data, b_update_a.data]),
-            np.concatenate([b_reset_b.data, b_update_b.data])])
-        pre_ru = np.matmul(f_hx, w_ru)                  # (2, B·N, 2H)
-        ru = _stable_sigmoid(pre_ru.reshape(two, batch, n, 2 * hidden)
-                             + b_ru[:, None, None])
-        r, u = ru[..., :hidden], ru[..., hidden:]
-        rhx = np.concatenate([r * h.data, x.data], axis=-1)
-        f_rhx = _cheb_feats(_cheb_terms(lap_b, rhx, order), order)
-        w_cand = np.stack([w_cand_a.data, w_cand_b.data])
-        b_cand = np.stack([b_cand_a.data, b_cand_b.data])
-        c = np.tanh(np.matmul(f_rhx, w_cand)
-                    .reshape(two, batch, n, hidden)
-                    + b_cand[:, None, None])
-        hmc = h.data - c
-        return c + u * hmc                              # Eq. 10 blend
-
-    def backward(grad: np.ndarray) -> None:
-        # Same adjoint as fused_cnrnn_cell, with one leading pair axis;
-        # per-parameter gradients are contiguous slabs/slices of the
-        # stacked results.
-        dh = grad * u
-        dpre_c = (grad - dh) * (1.0 - c * c)
-        dru = ru * (1.0 - ru)
-        dpre_u = (grad * hmc) * dru[..., hidden:]
-        dpre_c_flat = dpre_c.reshape(two, batch * n, hidden)
-        if w_cand_a.requires_grad or w_cand_b.requires_grad:
-            dw_cand = np.matmul(np.swapaxes(f_rhx, -1, -2), dpre_c_flat)
-            if w_cand_a.requires_grad:
-                w_cand_a._accumulate(dw_cand[0])
-            if w_cand_b.requires_grad:
-                w_cand_b._accumulate(dw_cand[1])
-        if b_cand_a.requires_grad or b_cand_b.requires_grad:
-            db_cand = dpre_c_flat.sum(axis=1)
-            if b_cand_a.requires_grad:
-                b_cand_a._accumulate(db_cand[0])
-            if b_cand_b.requires_grad:
-                b_cand_b._accumulate(db_cand[1])
-        drhx = _cheb_adjoint(lap_t, dpre_c_flat, w_cand,
-                             (two, batch, n, joint), order)
-        drh = drhx[..., :hidden]
-        dpre_r = (drh * h.data) * dru[..., :hidden]
-        dh += drh * r
-        dpre_ru_flat = np.concatenate(
-            [dpre_r.reshape(two, batch * n, hidden),
-             dpre_u.reshape(two, batch * n, hidden)], axis=-1)
-        if w_reset_a.requires_grad or w_update_a.requires_grad \
-                or w_reset_b.requires_grad or w_update_b.requires_grad:
+            [dpre_r.reshape(lead + (batch * n, hidden)),
+             dpre_u.reshape(lead + (batch * n, hidden))], axis=-1)
+        if any(w.requires_grad for w in w_rs + w_us):
             dw_ru = np.matmul(np.swapaxes(f_hx, -1, -2), dpre_ru_flat)
-            for side, (w_r, w_u) in enumerate(
-                    [(w_reset_a, w_update_a), (w_reset_b, w_update_b)]):
-                if w_r.requires_grad:
-                    w_r._accumulate(dw_ru[side, :, :hidden])
-                if w_u.requires_grad:
-                    w_u._accumulate(dw_ru[side, :, hidden:])
-        if b_reset_a.requires_grad or b_update_a.requires_grad \
-                or b_reset_b.requires_grad or b_update_b.requires_grad:
-            db_ru = dpre_ru_flat.sum(axis=1)
-            for side, (bias_r, bias_u) in enumerate(
-                    [(b_reset_a, b_update_a), (b_reset_b, b_update_b)]):
-                if bias_r.requires_grad:
-                    bias_r._accumulate(db_ru[side, :hidden])
-                if bias_u.requires_grad:
-                    bias_u._accumulate(db_ru[side, hidden:])
+            _accumulate_sides(w_rs, dw_ru[..., :hidden], lead)
+            _accumulate_sides(w_us, dw_ru[..., hidden:], lead)
+        if any(b.requires_grad for b in b_rs + b_us):
+            db_ru = dpre_ru_flat.sum(axis=-2)
+            _accumulate_sides(b_rs, db_ru[..., :hidden], lead)
+            _accumulate_sides(b_us, db_ru[..., hidden:], lead)
         dhx = _cheb_adjoint(lap_t, dpre_ru_flat, w_ru,
-                            (two, batch, n, joint), order)
+                            lead + (batch, n, joint), order)
         if h.requires_grad:
             h._accumulate(dh + dhx[..., :hidden])
         if x.requires_grad:
             x._accumulate(drhx[..., hidden:] + dhx[..., hidden:])
 
-    out = Tensor._make(_run_forward(run),
-                       (x, h) + tuple(params_a) + tuple(params_b),
-                       backward)
+    params = tuple(p for side in zip(*per_side) for p in side)
+    out = Tensor._make(_run_forward(run), (x, h) + params, backward)
     _record(out, run)
     return out
 
@@ -1267,8 +1027,6 @@ def fused_softmax_recovery(r_factors: Tensor, c_factors: Tensor) -> Tensor:
     closed-form softmax VJP ``s·(g - Σ g·s)`` followed by the two
     batched matmul adjoints.
     """
-    if not fused_enabled():
-        return fused_softmax_recovery_reference(r_factors, c_factors)
     r, c = _ensure_tensor(r_factors), _ensure_tensor(c_factors)
     if r.ndim < 3 or c.ndim < 3:
         raise ValueError("factor tensors must have >= 3 dims")
@@ -1306,23 +1064,6 @@ def fused_softmax_recovery(r_factors: Tensor, c_factors: Tensor) -> Tensor:
     return out
 
 
-def fused_softmax_recovery_reference(r_factors: Tensor,
-                                     c_factors: Tensor) -> Tensor:
-    """Unfused recovery from primitive ops (ground truth)."""
-    r, c = _ensure_tensor(r_factors), _ensure_tensor(c_factors)
-    ndim_r = r.ndim
-    r_bucket_first = r.transpose(
-        list(range(ndim_r - 3)) + [ndim_r - 1, ndim_r - 3, ndim_r - 2])
-    ndim_c = c.ndim
-    c_bucket_first = c.transpose(
-        list(range(ndim_c - 3)) + [ndim_c - 1, ndim_c - 3, ndim_c - 2])
-    raw = r_bucket_first.matmul(c_bucket_first)
-    ndim = raw.ndim
-    scores = raw.transpose(
-        list(range(ndim - 3)) + [ndim - 2, ndim - 1, ndim - 3])
-    return softmax(scores, axis=-1)
-
-
 # ----------------------------------------------------------------------
 # Masked Frobenius loss (paper Eq. 4's data term)
 # ----------------------------------------------------------------------
@@ -1340,8 +1081,6 @@ def fused_masked_frobenius(prediction: Tensor, truth: np.ndarray,
     engine can refresh a recorded step by writing new batches into the
     same buffers.
     """
-    if not fused_enabled():
-        return fused_masked_frobenius_reference(prediction, truth, mask)
     prediction = _ensure_tensor(prediction)
     dtype = prediction.data.dtype
     mask_arr = np.asarray(mask, dtype=dtype)
@@ -1368,14 +1107,3 @@ def fused_masked_frobenius(prediction: Tensor, truth: np.ndarray,
     out = Tensor._make(_run_forward(run), (prediction,), backward)
     _record(out, run)
     return out
-
-
-def fused_masked_frobenius_reference(prediction: Tensor, truth: np.ndarray,
-                                     mask: np.ndarray) -> Tensor:
-    """Unfused masked Frobenius loss (ground truth)."""
-    prediction = _ensure_tensor(prediction)
-    mask = np.asarray(mask, dtype=np.float64)
-    weights = Tensor(mask[..., None])
-    diff = (prediction - Tensor(np.asarray(truth))) * weights
-    observed = max(float(mask.sum()), 1.0)
-    return (diff * diff).sum() * (1.0 / observed)

@@ -72,9 +72,9 @@ def _as_array(value: ArrayLike) -> np.ndarray:
 # backward produces are checked for non-finite values at creation time,
 # and the first offender raises naming the *creating* op and its input
 # shapes — turning "loss is NaN after 3 epochs" into "tanh produced Inf
-# from inputs (16, 24, 32)".  Both the fused kernels and the primitive
-# reference ops route through Tensor._make / Tensor.backward, so one
-# hook covers both modes.  Costs a single bool check per op when off.
+# from inputs (16, 24, 32)".  Fused kernels and primitive ops alike
+# route through Tensor._make / Tensor.backward, so one hook covers
+# both.  Costs a single bool check per op when off.
 _ANOMALY_ENABLED = False
 
 # ----------------------------------------------------------------------

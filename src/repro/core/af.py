@@ -141,8 +141,8 @@ class AdvancedFramework(Module):
         c_seq = self.drop_c(c_seq)
 
         # Stage 2: CNRNN forecasting of both factor sequences (run as
-        # one stacked computation when the fused kernels are enabled and
-        # the two sides are architecture-identical).
+        # one stacked computation when the two sides have the same
+        # shape, i.e. on a square city).
         r_future, c_future = twin_forecast(self.rnn_r, self.rnn_c,
                                            r_seq, c_seq, horizon)
         r_factors = r_future.reshape(batch, horizon, n, self.rank, k)

@@ -9,7 +9,7 @@ preserved through time.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Sequence
 
 import numpy as np
 
@@ -45,15 +45,11 @@ class CNRNNCell(Module):
     def forward(self, x: Tensor, h: Tensor) -> Tensor:
         # The whole step — Eqs. 7-10: concatenations, the three gate
         # graph convolutions, nonlinearities, and the state blend — is
-        # one fused graph node; ops.fused_cnrnn_cell_reference keeps the
-        # primitive composition for gradcheck parity.  All three gate
-        # convolutions share the cell's (single) scaled Laplacian.
-        return ops.fused_cnrnn_cell(
-            self.conv_reset._scaled_lap, x, h,
-            self.conv_reset.weight, self.conv_reset.bias,
-            self.conv_update.weight, self.conv_update.bias,
-            self.conv_cand.weight, self.conv_cand.bias,
-            self.conv_reset.order)
+        # one fused graph node.  All three gate convolutions share the
+        # cell's (single) scaled Laplacian.
+        return ops.fused_cnrnn_cell(self.conv_reset._scaled_lap, x, h,
+                                    *_cell_params(self),
+                                    self.conv_reset.order)
 
     def initial_state(self, batch: int) -> Tensor:
         return Tensor(np.zeros((batch, self.n_nodes, self.hidden_channels)))
@@ -89,47 +85,80 @@ class GraphSeq2Seq(Module):
         self.in_channels = in_channels
         self.out_channels = out_channels
 
-    def forward(self, history: Tensor, horizon: int,
-                targets: Optional[Tensor] = None,
-                teacher_forcing: float = 0.0,
-                rng: Optional[np.random.Generator] = None) -> Tensor:
+    def forward(self, history: Tensor, horizon: int) -> Tensor:
         """Forecast: ``(B, s, N, C_in)`` → ``(B, h, N, C_out)``."""
         if history.ndim != 4:
             raise ValueError(
                 f"history must be (B, s, N, C), got {history.shape}")
-        batch, steps = history.shape[0], history.shape[1]
-        states: List[Tensor] = [cell.initial_state(batch)
-                                for cell in self.encoder_cells]
-        for t in range(steps):
-            layer_input = history[:, t]
-            for i, cell in enumerate(self.encoder_cells):
-                states[i] = cell(layer_input, states[i])
-                layer_input = states[i]
-        if self.in_channels == self.out_channels:
-            step_input = history[:, -1]
-        else:
-            step_input = Tensor(np.zeros(
-                (batch, history.shape[2], self.out_channels)))
-        predictions = []
-        for j in range(horizon):
-            layer_input = step_input
-            for i, cell in enumerate(self.decoder_cells):
-                states[i] = cell(layer_input, states[i])
-                layer_input = states[i]
-            prediction = self.proj(layer_input)
-            predictions.append(prediction)
-            use_truth = (teacher_forcing > 0.0 and targets is not None
-                         and rng is not None
-                         and rng.random() < teacher_forcing
-                         and j < horizon - 1)
-            step_input = targets[:, j] if use_truth else prediction
-        return ops.stack(predictions, axis=1)
+        return _rollout((self,), history, horizon)
 
 
 def _cell_params(cell: CNRNNCell) -> tuple:
     return (cell.conv_reset.weight, cell.conv_reset.bias,
             cell.conv_update.weight, cell.conv_update.bias,
             cell.conv_cand.weight, cell.conv_cand.bias)
+
+
+def _side_args(convs: Sequence[ChebConv], params: Sequence[tuple]):
+    """Laplacian and parameter arguments of a stage-2 kernel call.
+
+    One side passes its own Laplacian and Tensors; P sides pass the
+    ``(P, N, N)`` stacked Laplacians and, per argument, the tuple of the
+    P sides' Tensors (the kernels' leading side axis).
+    """
+    if len(convs) == 1:
+        return convs[0]._scaled_lap, list(params[0])
+    return (np.stack([conv._scaled_lap.data for conv in convs]),
+            list(zip(*params)))
+
+
+def _rollout(rnns: Sequence[GraphSeq2Seq], history: Tensor,
+             horizon: int) -> Tensor:
+    """The encoder–decoder rollout of one seq2seq, or of P
+    architecture-identical ones on a leading side axis.
+
+    One model: ``history (B, s, N, C)`` → ``(B, h, N, C_out)``.  P
+    models: ``history (P, B, s, N, C)`` → ``(P, B, h, N, C_out)``, side
+    ``p`` running model ``p``'s cells and projection; every cell step
+    and projection is then one stacked kernel call.
+    """
+    head = rnns[0]
+    lead = (slice(None),) * (history.ndim - 4)
+    signal = history.shape[:-3] + history.shape[-2:-1]     # (*, B, N)
+
+    def cell_args(attr: str) -> list:
+        return [_side_args([cell.conv_reset for cell in cells],
+                           [_cell_params(cell) for cell in cells])
+                + (cells[0].conv_reset.order,)
+                for cells in zip(*(getattr(rnn, attr) for rnn in rnns))]
+
+    def advance(layer_input: Tensor, layers: list) -> Tensor:
+        for i, (lap, params, order) in enumerate(layers):
+            states[i] = ops.fused_cnrnn_cell(lap, layer_input, states[i],
+                                             *params, order)
+            layer_input = states[i]
+        return layer_input
+
+    states: List[Tensor] = [
+        Tensor(np.zeros(signal + (cell.hidden_channels,)))
+        for cell in head.encoder_cells]
+    encoder = cell_args("encoder_cells")
+    for t in range(history.shape[-3]):
+        advance(history[lead + (slice(None), t)], encoder)
+    if head.in_channels == head.out_channels:
+        step_input = history[lead + (slice(None), -1)]
+    else:
+        step_input = Tensor(np.zeros(signal + (head.out_channels,)))
+    decoder = cell_args("decoder_cells")
+    proj_lap, proj_params = _side_args(
+        [rnn.proj for rnn in rnns],
+        [(rnn.proj.weight, rnn.proj.bias) for rnn in rnns])
+    predictions = []
+    for _ in range(horizon):
+        step_input = ops.cheb_conv(proj_lap, advance(step_input, decoder),
+                                   *proj_params, head.proj.order)
+        predictions.append(step_input)
+    return ops.stack(predictions, axis=len(lead) + 1)
 
 
 def _twin_compatible(rnn_a: GraphSeq2Seq, rnn_b: GraphSeq2Seq) -> bool:
@@ -157,55 +186,15 @@ def twin_forecast(rnn_a: GraphSeq2Seq, rnn_b: GraphSeq2Seq,
     """Forecast two factor sequences, jointly when possible.
 
     The AF's R and C sequences run through architecture-identical
-    CNRNNs; when the fused kernels are on (and shapes agree) both
-    recurrences execute as one stacked computation per step
-    (:func:`repro.autodiff.ops.fused_twin_cnrnn_cell`), halving the
-    per-cell dispatch overhead.  Falls back to two independent forward
-    passes otherwise — results are identical either way.
+    CNRNNs; when their shapes agree (a square city) both recurrences
+    run as one rollout on a stacked side axis, halving the per-cell
+    dispatch overhead.  Otherwise (e.g. N ≠ N') each side rolls out on
+    its own.
     """
-    if not (ops.fused_enabled() and history_a.shape == history_b.shape
-            and _twin_compatible(rnn_a, rnn_b)):
-        return rnn_a(history_a, horizon), rnn_b(history_b, horizon)
-    x2 = ops.stack([history_a, history_b], axis=0)     # (2, B, s, N, C)
-    batch, steps = history_a.shape[0], history_a.shape[1]
-    enc_pairs = list(zip(rnn_a.encoder_cells, rnn_b.encoder_cells))
-    dec_pairs = list(zip(rnn_a.decoder_cells, rnn_b.decoder_cells))
-
-    def pair_lap(cell_a: CNRNNCell, cell_b: CNRNNCell) -> np.ndarray:
-        return np.stack([cell_a.conv_reset._scaled_lap.data,
-                         cell_b.conv_reset._scaled_lap.data])
-
-    enc_laps = [pair_lap(ca, cb) for ca, cb in enc_pairs]
-    dec_laps = [pair_lap(ca, cb) for ca, cb in dec_pairs]
-    states = [Tensor(np.zeros((2, batch, ca.n_nodes, ca.hidden_channels)))
-              for ca, _ in enc_pairs]
-    for t in range(steps):
-        layer_input = x2[:, :, t]
-        for i, (ca, cb) in enumerate(enc_pairs):
-            states[i] = ops.fused_twin_cnrnn_cell(
-                enc_laps[i], layer_input, states[i],
-                _cell_params(ca), _cell_params(cb), ca.conv_reset.order)
-            layer_input = states[i]
-    if rnn_a.in_channels == rnn_a.out_channels:
-        step_input = x2[:, :, -1]
-    else:
-        step_input = Tensor(np.zeros(
-            (2, batch, history_a.shape[2], rnn_a.out_channels)))
-    proj_lap = np.stack([rnn_a.proj._scaled_lap.data,
-                         rnn_b.proj._scaled_lap.data])
-    predictions = []
-    for _ in range(horizon):
-        layer_input = step_input
-        for i, (ca, cb) in enumerate(dec_pairs):
-            states[i] = ops.fused_twin_cnrnn_cell(
-                dec_laps[i], layer_input, states[i],
-                _cell_params(ca), _cell_params(cb), ca.conv_reset.order)
-            layer_input = states[i]
-        prediction = ops.fused_twin_cheb_conv(
-            proj_lap, layer_input,
-            rnn_a.proj.weight, rnn_a.proj.bias,
-            rnn_b.proj.weight, rnn_b.proj.bias, rnn_a.proj.order)
-        predictions.append(prediction)
-        step_input = prediction
-    out2 = ops.stack(predictions, axis=2)              # (2, B, h, N, C)
-    return out2[0], out2[1]
+    if history_a.shape == history_b.shape \
+            and _twin_compatible(rnn_a, rnn_b):
+        stacked = _rollout((rnn_a, rnn_b),
+                           ops.stack([history_a, history_b], axis=0),
+                           horizon)
+        return stacked[0], stacked[1]
+    return rnn_a(history_a, horizon), rnn_b(history_b, horizon)

@@ -110,16 +110,6 @@ class DataParallelUnit:
     slices_per_sample_total: int = 0
 
 
-def _encoder(factorizer):
-    """The factorizer's stage-1 ``op``/``adj_op`` pair; max pooling has
-    none — callers check :meth:`ShardedExecution.supports`."""
-    if factorizer.encoder is None:
-        raise ValueError(
-            "sharded execution requires mean pooling (the factorizer "
-            "has no fused stage-1 encoder)")
-    return factorizer.encoder
-
-
 def _backward_into(encoder, grad: np.ndarray, cache, sink: "_GradSink",
                    need_input_grad: bool = False) -> Optional[np.ndarray]:
     grads, dx = encoder.adj_op(grad, cache, input_grad=need_input_grad)
@@ -254,9 +244,6 @@ class ShardedExecution:
             factorizer = getattr(model, name, None)
             if factorizer is None:
                 return False, f"model has no {name} factorizer"
-            if factorizer.encoder is None:
-                return False, (f"{name} uses max pooling; the sharded "
-                               f"path needs mean pooling")
         if self.plan.n_origins != model.n_origins \
                 or self.plan.n_destinations != model.n_destinations:
             return False, (
@@ -364,7 +351,7 @@ class ShardedExecution:
 
     def _side_node(self, x: Tensor, factorizer, side: str, batch: int,
                    shards: Tuple[Shard, ...]) -> Tensor:
-        encoder = _encoder(factorizer)
+        encoder = factorizer.encoder
         if self.mode == "blocked" and x.requires_grad:
             raise NotImplementedError(
                 "blocked mode does not propagate gradients into the "
@@ -516,7 +503,7 @@ class ShardedExecution:
 
     def _side_arrays(self, x3, factorizer, batch, shards, n_side,
                      n_jobs):
-        encoder = _encoder(factorizer)
+        encoder = factorizer.encoder
         total = x3.shape[1]
         occupied = x3.any(axis=(0, 2))
         zero = np.zeros((x3.shape[0], 1, x3.shape[2]), dtype=x3.dtype)

@@ -66,7 +66,6 @@ class SpatialFactorizer(Module):
     def __init__(self, graph_weights: np.ndarray, n_buckets: int, rank: int,
                  rng: np.random.Generator,
                  blocks: Sequence[GCNNBlock] = DEFAULT_BLOCKS,
-                 pool_mode: str = "mean",
                  cluster_pooling: bool = True):
         super().__init__()
         blocks = tuple(blocks)
@@ -95,7 +94,7 @@ class SpatialFactorizer(Module):
             if block.pool_levels > 0:
                 self.pools.append(GraphPool(
                     self._coarsening, levels=block.pool_levels,
-                    start_level=level, mode=pool_mode))
+                    start_level=level))
                 level += block.pool_levels
             else:
                 self.pools.append(None)
@@ -105,19 +104,17 @@ class SpatialFactorizer(Module):
                              if self.pools[-1] is not None
                              else self._coarsening.graphs[level].shape[0])
         self.latent_proj = Linear(self._pooled_size, rank, rng)
-        # The fused stage-1 kernel (ops.gcnn_encoder) pools with one
-        # GEMM against the mean-pooling matrix: mean pooling only.
-        if pool_mode == "mean":
-            stages = [ops.EncoderStage(
-                lap=conv._scaled_lap.data,
-                pool=None if pool is None else pool.pooling_matrix(),
-                weight=conv.weight, bias=conv.bias, order=conv.order)
-                for conv, pool in zip(self.convs, self.pools)]
-            self.encoder = ops.GCNNEncoder(
-                stages, self.to_buckets.weight, self.to_buckets.bias,
-                self.latent_proj.weight, self.latent_proj.bias)
-        else:
-            self.encoder = None
+        # The whole encoder runs as one kernel (ops.gcnn_encoder) that
+        # pools with one GEMM against each mean-pooling matrix; the
+        # layers above own its parameters.
+        stages = [ops.EncoderStage(
+            lap=conv._scaled_lap.data,
+            pool=None if pool is None else pool.pooling_matrix(),
+            weight=conv.weight, bias=conv.bias, order=conv.order)
+            for conv, pool in zip(self.convs, self.pools)]
+        self.encoder = ops.GCNNEncoder(
+            stages, self.to_buckets.weight, self.to_buckets.bias,
+            self.latent_proj.weight, self.latent_proj.bias)
 
     @property
     def pooled_size(self) -> int:
@@ -134,27 +131,9 @@ class SpatialFactorizer(Module):
 
     def encode(self, x: Tensor) -> Tensor:
         """Encode node-last slices: ``(K, *rows, nodes)`` →
-        ``(K, *rows, rank)``.
-
-        With fused kernels on (and mean pooling) the whole encoder is one
-        graph node, ``ops.gcnn_encoder``; the primitive composition below
-        is the reference path.
-        """
-        if ops.fused_enabled() and self.encoder is not None:
-            return ops.gcnn_encoder(x, self.encoder)
-        k, rows, nodes = x.shape[0], x.shape[1:-1], x.shape[-1]
-        ndim = x.ndim
-        h = x.transpose(tuple(range(1, ndim)) + (0,)).reshape(-1, nodes, k)
-        for conv, pool in zip(self.convs, self.pools):
-            h = ops.relu(conv(h))
-            if pool is not None:
-                h = pool(h)
-        h = self.to_buckets(h)                      # (B*, beta', K)
-        h = h.transpose((0, 2, 1))                  # (B*, K, beta')
-        h = self.latent_proj(h)                     # (B*, K, rank)
-        h = h.reshape(rows + (k, self.rank))
-        return h.transpose((ndim - 2,) + tuple(range(ndim - 2))
-                           + (ndim - 1,))
+        ``(K, *rows, rank)``, the whole encoder as one graph node
+        (``ops.gcnn_encoder``)."""
+        return ops.gcnn_encoder(x, self.encoder)
 
 
 def factorize_tensor_batch(factorizer_r: SpatialFactorizer,

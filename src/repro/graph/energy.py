@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import ops
 from ..autodiff.tensor import Tensor, _record, _run_forward
 from .laplacian import laplacian
 
@@ -31,15 +30,11 @@ def dirichlet_energy(x: Tensor, weights: np.ndarray,
 
     Returns
     -------
-    Scalar tensor ``sum(x^T L x)`` over all feature axes.
-
-    Evaluates as a single fused graph node when the fused kernels are
-    enabled (``repro.autodiff.ops.fused_enabled``); the primitive
-    composition is kept in :func:`dirichlet_energy_reference`.
+    Scalar tensor ``sum(x^T L x)`` over all feature axes, evaluated as
+    a single fused graph node.  The Laplacian is built in the signal's
+    dtype, so a float32 signal gets a float32 gradient.
     """
-    if not ops.fused_enabled():
-        return dirichlet_energy_reference(x, weights, node_axis)
-    lap = laplacian(weights)
+    lap = laplacian(weights).astype(x.data.dtype, copy=False)
     axis = node_axis % x.ndim
     if x.shape[axis] != lap.shape[0]:
         raise ValueError(
@@ -68,22 +63,6 @@ def dirichlet_energy(x: Tensor, weights: np.ndarray,
     out = Tensor._make(_run_forward(run), (x,), backward)
     _record(out, run)
     return out
-
-
-def dirichlet_energy_reference(x: Tensor, weights: np.ndarray,
-                               node_axis: int = 0) -> Tensor:
-    """Unfused Dirichlet energy from primitive ops (ground truth)."""
-    lap = Tensor(laplacian(weights))
-    axis = node_axis % x.ndim
-    if x.shape[axis] != lap.shape[0]:
-        raise ValueError(
-            f"signal has {x.shape[axis]} nodes on axis {axis}, graph has "
-            f"{lap.shape[0]}")
-    if axis != 0:
-        order = [axis] + [i for i in range(x.ndim) if i != axis]
-        x = x.transpose(order)
-    flat = x.reshape(x.shape[0], -1)
-    return (flat * lap.matmul(flat)).sum()
 
 
 def dirichlet_energy_numpy(x: np.ndarray, weights: np.ndarray,

@@ -1,14 +1,15 @@
 """Parity tests for the fused autodiff kernels.
 
-Every fused op in :mod:`repro.autodiff.ops` has a ``*_reference`` twin
-built from primitive ops.  These tests feed identical float64 inputs to
-both paths and require matching outputs and matching analytic gradients
+Every fused op in :mod:`repro.autodiff.ops` has a primitive-op oracle
+in :mod:`tests.oracles`.  These tests feed identical float64 inputs to
+both and require matching outputs and matching analytic gradients
 (tolerance well under 1e-6), plus finite-difference gradchecks of the
 fused backward closures, shape/dtype edge cases, a bit-for-bit
 determinism check for the parallel experiment runner, and a tolerant
 perf guard for the fused AF training step.
 """
 
+import contextlib
 import importlib.util
 import multiprocessing
 import os
@@ -27,7 +28,13 @@ from repro.core.spatial import (DEFAULT_BLOCKS, GCNNBlock,
                                 SpatialFactorizer, factorize_tensor_batch)
 from repro.experiments import (MethodBudget, make_bf, make_nh, prepare,
                                run_comparison)
-from repro.graph.energy import dirichlet_energy, dirichlet_energy_reference
+from repro.core.cnrnn import twin_forecast
+from repro.graph.energy import dirichlet_energy
+
+from .oracles import (cheb_conv_reference, dirichlet_energy_reference,
+                      fused_cnrnn_cell_reference, fused_gru_gates_reference,
+                      fused_masked_frobenius_reference,
+                      fused_softmax_recovery_reference, reference_kernels)
 
 PARITY = dict(rtol=1e-9, atol=1e-9)     # far below the 1e-6 requirement
 
@@ -44,7 +51,8 @@ def _random_proximity(n, rng):
 
 
 def assert_parity(fused_fn, reference_fn, arrays, seed):
-    """Run both paths on identical inputs; compare outputs and grads.
+    """Run kernel and oracle on identical inputs; compare outputs and
+    grads.
 
     ``arrays`` are raw numpy inputs turned into fresh requires-grad
     Tensors per path; the backward seed is a fixed random cotangent so
@@ -52,10 +60,8 @@ def assert_parity(fused_fn, reference_fn, arrays, seed):
     """
     fused_in = _params(arrays)
     ref_in = _params(arrays)
-    with ops.use_fused(True):
-        out_fused = fused_fn(*fused_in)
-    with ops.use_fused(False):
-        out_ref = reference_fn(*ref_in)
+    out_fused = fused_fn(*fused_in)
+    out_ref = reference_fn(*ref_in)
     assert out_fused.shape == out_ref.shape
     assert np.allclose(out_fused.data, out_ref.data, **PARITY)
     cotangent = np.random.default_rng(seed).normal(size=out_ref.shape)
@@ -74,33 +80,34 @@ def assert_parity(fused_fn, reference_fn, arrays, seed):
     return fused_in, ref_in
 
 
-class TestToggle:
-    def test_set_and_restore(self):
-        original = ops.fused_enabled()
-        assert ops.set_fused(False) == original
-        assert not ops.fused_enabled()
-        ops.set_fused(original)
+def _by_argument(lead, flat, width):
+    """Kernel arguments from side-major parameters (``width`` per side):
+    one unstacked side passes its Tensors, P stacked sides pass one
+    length-P list per argument."""
+    sides = [list(flat[i:i + width]) for i in range(0, len(flat), width)]
+    return [list(group) for group in zip(*sides)] if lead else sides[0]
 
-    def test_context_manager_restores_on_error(self):
-        original = ops.fused_enabled()
-        with pytest.raises(RuntimeError):
-            with ops.use_fused(not original):
-                assert ops.fused_enabled() == (not original)
-                raise RuntimeError("boom")
-        assert ops.fused_enabled() == original
+
+#: Side layouts every stage-2 kernel test runs: no side axis, and two
+#: stacked sides (the AF's R and C recurrences).
+SIDE_LAYOUTS = ((), (2,))
 
 
 class TestChebConv:
     def test_parity(self, rng):
-        lap = rng.normal(size=(6, 6))
         order, channels, filters = 3, 4, 5
-        x = rng.normal(size=(3, 6, channels))
-        weight = rng.normal(size=(channels * order, filters))
-        bias = rng.normal(size=(filters,))
-        assert_parity(
-            lambda t, w, b: ops.cheb_conv(lap, t, w, b, order),
-            lambda t, w, b: ops.cheb_conv_reference(lap, t, w, b, order),
-            [x, weight, bias], seed=2)
+        for lead in SIDE_LAYOUTS:
+            lap = rng.normal(size=lead + (6, 6))
+            x = rng.normal(size=lead + (3, 6, channels))
+            params = [a for _ in range(lead[0] if lead else 1)
+                      for a in (rng.normal(size=(channels * order, filters)),
+                                rng.normal(size=(filters,)))]
+            assert_parity(
+                lambda t, *p: ops.cheb_conv(
+                    lap, t, *_by_argument(lead, p, 2), order),
+                lambda t, *p: cheb_conv_reference(
+                    lap, t, *_by_argument(lead, p, 2), order),
+                [x] + params, seed=2)
 
     def test_parity_order_one_and_two(self, rng):
         # Dedicated fast paths in the fused adjoint.
@@ -111,8 +118,7 @@ class TestChebConv:
             bias = rng.normal(size=(4,))
             assert_parity(
                 lambda t, w, b: ops.cheb_conv(lap, t, w, b, order),
-                lambda t, w, b: ops.cheb_conv_reference(
-                    lap, t, w, b, order),
+                lambda t, w, b: cheb_conv_reference(lap, t, w, b, order),
                 [x, weight, bias], seed=order)
 
     def test_gradcheck(self, rng):
@@ -120,27 +126,34 @@ class TestChebConv:
         x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
         weight = Tensor(rng.normal(size=(3 * 2, 3)), requires_grad=True)
         bias = Tensor(rng.normal(size=(3,)), requires_grad=True)
-        with ops.use_fused(True):
-            check_gradients(
-                lambda t, w, b: (ops.cheb_conv(lap, t, w, b, 2) ** 2).sum(),
-                [x, weight, bias])
+        check_gradients(
+            lambda t, w, b: (ops.cheb_conv(lap, t, w, b, 2) ** 2).sum(),
+            [x, weight, bias])
 
     def test_float32_preserved(self, rng):
+        # A float32 signal through each kernel keeps its output and
+        # gradients float32, even against a float64 proximity matrix.
+        lap = rng.normal(size=(4, 4)).astype(np.float32)
+        graph = _random_proximity(5, rng)
         set_default_dtype(np.float32)
         try:
-            lap = rng.normal(size=(4, 4)).astype(np.float32)
-            x = Tensor(rng.normal(size=(2, 4, 3)).astype(np.float32),
-                       requires_grad=True)
             weight = Tensor(rng.normal(size=(6, 3)).astype(np.float32),
                             requires_grad=True)
             bias = Tensor(np.zeros(3, dtype=np.float32),
                           requires_grad=True)
-            with ops.use_fused(True):
-                out = ops.cheb_conv(lap, x, weight, bias, 2)
+            kernels = {
+                "cheb_conv": ((2, 4, 3), lambda t: ops.cheb_conv(
+                    lap, t, weight, bias, 2), [weight]),
+                "dirichlet_energy": ((2, 5, 3), lambda t: dirichlet_energy(
+                    t, graph, node_axis=1), []),
+            }
+            for name, (shape, kernel, params) in kernels.items():
+                x = Tensor(rng.normal(size=shape).astype(np.float32),
+                           requires_grad=True)
+                out = kernel(x)
                 out.backward(grad=np.ones(out.shape, dtype=np.float32))
-            assert out.data.dtype == np.float32
-            assert x.grad.dtype == np.float32
-            assert weight.grad.dtype == np.float32
+                for array in [out.data, x.grad] + [p.grad for p in params]:
+                    assert array.dtype == np.float32, name
         finally:
             set_default_dtype(np.float64)
 
@@ -172,7 +185,7 @@ def assert_encoder_parity(factorizers, tensors, seed, tol=PARITY):
         for p in params:
             p.grad = None
         x = Tensor(tensors.copy(), requires_grad=True)
-        with ops.use_fused(fused):
+        with contextlib.nullcontext() if fused else reference_kernels():
             if len(factorizers) == 1:
                 outs = [factorizers[0](x)]
             else:
@@ -217,22 +230,20 @@ class TestGcnnStage:
                                  blocks=[GCNNBlock(3, 3, 1)])
         conv = factorizer.convs[0]
         x = Tensor(rng.normal(size=(4, 2, 12)), requires_grad=True)
-        with ops.use_fused(True):
-            check_gradients(
-                lambda t, wt, b: (ops.gcnn_encoder(
-                    t, factorizer.encoder) ** 2).sum(),
-                [x, conv.weight, conv.bias])
+        check_gradients(
+            lambda t, wt, b: (ops.gcnn_encoder(
+                t, factorizer.encoder) ** 2).sum(),
+            [x, conv.weight, conv.bias])
 
     def test_shape_error(self):
         factorizer = _factorizer(_random_proximity(4, np.random.default_rng(0)),
                                  blocks=[GCNNBlock(2, 2, 0)])
-        with ops.use_fused(True):
-            with pytest.raises(ValueError):
-                ops.gcnn_encoder(Tensor(np.zeros((4, 3))),
-                                 factorizer.encoder)
-            with pytest.raises(ValueError):
-                ops.gcnn_encoder(Tensor(np.zeros((3, 2, 4))),
-                                 factorizer.encoder)
+        with pytest.raises(ValueError):
+            ops.gcnn_encoder(Tensor(np.zeros((4, 3))),
+                             factorizer.encoder)
+        with pytest.raises(ValueError):
+            ops.gcnn_encoder(Tensor(np.zeros((3, 2, 4))),
+                             factorizer.encoder)
 
 
 class TestLatentHead:
@@ -252,11 +263,10 @@ class TestLatentHead:
         head = [factorizer.to_buckets.weight, factorizer.to_buckets.bias,
                 factorizer.latent_proj.weight, factorizer.latent_proj.bias]
         x = Tensor(rng.normal(size=(2, 2, 4)), requires_grad=True)
-        with ops.use_fused(True):
-            check_gradients(
-                lambda t, *params: (ops.gcnn_encoder(
-                    t, factorizer.encoder) ** 2).sum(),
-                [x] + head)
+        check_gradients(
+            lambda t, *params: (ops.gcnn_encoder(
+                t, factorizer.encoder) ** 2).sum(),
+            [x] + head)
 
 
 @st.composite
@@ -340,7 +350,7 @@ class TestGruGates:
                    rng.normal(size=(hidden,)),
                    rng.normal(size=(joint, hidden)) * 0.5,
                    rng.normal(size=(hidden,))]
-        assert_parity(ops.fused_gru_gates, ops.fused_gru_gates_reference,
+        assert_parity(ops.fused_gru_gates, fused_gru_gates_reference,
                       [x, h] + weights, seed=6)
 
     def test_parity_batched_leading_dims(self, rng):
@@ -355,7 +365,7 @@ class TestGruGates:
                    rng.normal(size=(hidden,)),
                    rng.normal(size=(joint, hidden)) * 0.5,
                    rng.normal(size=(hidden,))]
-        assert_parity(ops.fused_gru_gates, ops.fused_gru_gates_reference,
+        assert_parity(ops.fused_gru_gates, fused_gru_gates_reference,
                       [x, h] + weights, seed=7)
 
     def test_gradcheck(self, rng):
@@ -366,43 +376,48 @@ class TestGruGates:
              rng.normal(size=(joint, hidden)), rng.normal(size=(hidden,)),
              rng.normal(size=(joint, hidden)), rng.normal(size=(hidden,)),
              rng.normal(size=(joint, hidden)), rng.normal(size=(hidden,))])
-        with ops.use_fused(True):
-            check_gradients(
-                lambda *a: (ops.fused_gru_gates(*a) ** 2).sum(), tensors)
+        check_gradients(
+            lambda *a: (ops.fused_gru_gates(*a) ** 2).sum(), tensors)
 
 
 class TestCnrnnCell:
-    def _inputs(self, rng, n=6, channels=3, hidden=4, order=3, batch=2):
-        lap = rng.normal(size=(n, n))
+    def _inputs(self, rng, n=6, channels=3, hidden=4, order=3, batch=2,
+                lead=()):
+        """Laplacian, order and ``[x, h]`` + side-major ``(w, b) x 3``
+        parameters; ``lead=(P,)`` stacks P sides."""
+        lap = rng.normal(size=lead + (n, n))
         joint = channels + hidden
-        arrays = [rng.normal(size=(batch, n, channels)),
-                  rng.normal(size=(batch, n, hidden))]
-        for _ in range(3):
-            arrays.append(rng.normal(size=(joint * order, hidden)) * 0.4)
-            arrays.append(rng.normal(size=(hidden,)))
-        # Interleave weight/bias into the op's (w, b) x 3 ordering.
-        x, h, wr, br, wu, bu, wc, bc = arrays
-        return lap, order, [x, h, wr, br, wu, bu, wc, bc]
+        arrays = [rng.normal(size=lead + (batch, n, channels)),
+                  rng.normal(size=lead + (batch, n, hidden))]
+        for _ in range(lead[0] if lead else 1):
+            for _ in range(3):
+                arrays.append(rng.normal(size=(joint * order, hidden)) * 0.4)
+                arrays.append(rng.normal(size=(hidden,)))
+        return lap, order, arrays
 
     def test_parity(self, rng):
-        lap, order, arrays = self._inputs(rng)
-        assert_parity(
-            lambda *a: ops.fused_cnrnn_cell(lap, *a, order),
-            lambda *a: ops.fused_cnrnn_cell_reference(lap, *a, order),
-            arrays, seed=8)
+        for lead in SIDE_LAYOUTS:
+            lap, order, arrays = self._inputs(rng, lead=lead)
+            assert_parity(
+                lambda t, s, *p: ops.fused_cnrnn_cell(
+                    lap, t, s, *_by_argument(lead, p, 6), order),
+                lambda t, s, *p: fused_cnrnn_cell_reference(
+                    lap, t, s, *_by_argument(lead, p, 6), order),
+                arrays, seed=8)
 
     def test_gradcheck(self, rng):
         lap, order, arrays = self._inputs(rng, n=4, channels=2, hidden=3,
                                           order=2)
         tensors = _params(arrays)
-        with ops.use_fused(True):
-            check_gradients(
-                lambda *a: (ops.fused_cnrnn_cell(lap, *a, order) ** 2).sum(),
-                tensors)
+        check_gradients(
+            lambda *a: (ops.fused_cnrnn_cell(lap, *a, order) ** 2).sum(),
+            tensors)
 
 
 class TestTwinOps:
     def test_twin_cheb_conv_matches_per_side_reference(self, rng):
+        # A (2, N, N) Laplacian stacks two sides; each must equal the
+        # one-side oracle on its own Laplacian, signal and weights.
         n, channels, filters, order, batch = 5, 3, 4, 3, 2
         lap2 = rng.normal(size=(2, n, n))
         x2 = rng.normal(size=(2, batch, n, channels))
@@ -412,13 +427,13 @@ class TestTwinOps:
         b_b = rng.normal(size=(filters,))
 
         def reference(t, wa, ba, wb, bb):
-            side_a = ops.cheb_conv_reference(lap2[0], t[0], wa, ba, order)
-            side_b = ops.cheb_conv_reference(lap2[1], t[1], wb, bb, order)
+            side_a = cheb_conv_reference(lap2[0], t[0], wa, ba, order)
+            side_b = cheb_conv_reference(lap2[1], t[1], wb, bb, order)
             return ops.stack([side_a, side_b], axis=0)
 
         assert_parity(
-            lambda t, wa, ba, wb, bb: ops.fused_twin_cheb_conv(
-                lap2, t, wa, ba, wb, bb, order),
+            lambda t, wa, ba, wb, bb: ops.cheb_conv(
+                lap2, t, [wa, wb], [ba, bb], order),
             reference, [x2, w_a, b_a, w_b, b_b], seed=9)
 
     def test_twin_cnrnn_cell_matches_per_side_reference(self, rng):
@@ -432,14 +447,13 @@ class TestTwinOps:
                   for i in range(6)] for _ in range(2)]
 
         def fused(t, s, *flat):
-            params_a, params_b = flat[:6], flat[6:]
-            return ops.fused_twin_cnrnn_cell(lap2, t, s, params_a,
-                                             params_b, order)
+            return ops.fused_cnrnn_cell(
+                lap2, t, s, *_by_argument((2,), flat, 6), order)
 
         def reference(t, s, *flat):
-            side_a = ops.fused_cnrnn_cell_reference(
+            side_a = fused_cnrnn_cell_reference(
                 lap2[0], t[0], s[0], *flat[:6], order)
-            side_b = ops.fused_cnrnn_cell_reference(
+            side_b = fused_cnrnn_cell_reference(
                 lap2[1], t[1], s[1], *flat[6:], order)
             return ops.stack([side_a, side_b], axis=0)
 
@@ -464,7 +478,7 @@ class TestTwinOps:
 
         def run(fused):
             model.zero_grad()
-            with ops.use_fused(fused):
+            with contextlib.nullcontext() if fused else reference_kernels():
                 prediction, r, c = model(history, 2)
                 loss = (prediction ** 2).sum() + (r * c.transpose(
                     (0, 1, 3, 2, 4))).sum()
@@ -482,29 +496,59 @@ class TestTwinOps:
                 f"grad mismatch for {key}: "
                 f"{np.max(np.abs(grads_f[key] - grads_r[key])):.3e}")
 
+    def test_twin_forecast_equals_per_side_rollouts(self, rng):
+        # A square AF stacks its R and C recurrences on a side axis; the
+        # result must be the two one-side rollouts, bit for bit, forward
+        # and backward (stacked matmuls run the per-slice GEMMs).
+        w = _random_proximity(10, rng)
+        model = AdvancedFramework(w, w, 4, np.random.default_rng(0),
+                                  rank=3, rnn_hidden=6, rnn_order=3,
+                                  rnn_layers=2)
+        histories = [rng.uniform(size=(2, 4, 10, 12)) for _ in range(2)]
+        cotangents = [rng.normal(size=(2, 3, 10, 12)) for _ in range(2)]
+
+        params = (list(model.rnn_r.parameters())
+                  + list(model.rnn_c.parameters()))
+
+        def run(forecast):
+            model.zero_grad()
+            inputs = [Tensor(h, requires_grad=True) for h in histories]
+            outs = forecast(*inputs)
+            loss = sum(((out * Tensor(g)).sum()
+                        for out, g in zip(outs, cotangents)), Tensor(0.0))
+            loss.backward()
+            return ([out.data for out in outs] + [t.grad for t in inputs]
+                    + [p.grad for p in params])
+
+        twin = run(lambda a, b: twin_forecast(model.rnn_r, model.rnn_c,
+                                              a, b, 3))
+        per_side = run(lambda a, b: (model.rnn_r(a, 3), model.rnn_c(b, 3)))
+        for i, (a, b) in enumerate(zip(twin, per_side)):
+            assert a is not None and b is not None, f"array {i} missing"
+            assert np.array_equal(a, b), (
+                f"array {i}: max diff {np.max(np.abs(a - b)):.3e}")
+
 
 class TestSoftmaxRecovery:
     def test_parity(self, rng):
         r = rng.normal(size=(2, 4, 3, 5))       # (B, N, beta, K)
         c = rng.normal(size=(2, 3, 4, 5))       # (B, beta, N', K)
         assert_parity(ops.fused_softmax_recovery,
-                      ops.fused_softmax_recovery_reference, [r, c], seed=11)
+                      fused_softmax_recovery_reference, [r, c], seed=11)
 
     def test_output_is_distribution(self, rng):
         r = Tensor(rng.normal(size=(4, 3, 5)))
         c = Tensor(rng.normal(size=(3, 4, 5)))
-        with ops.use_fused(True):
-            out = ops.fused_softmax_recovery(r, c)
+        out = ops.fused_softmax_recovery(r, c)
         assert np.allclose(out.data.sum(axis=-1), 1.0)
         assert (out.data >= 0).all()
 
     def test_gradcheck(self, rng):
         r = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
         c = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        with ops.use_fused(True):
-            check_gradients(
-                lambda a, b: (ops.fused_softmax_recovery(a, b) ** 2).sum(),
-                [r, c])
+        check_gradients(
+            lambda a, b: (ops.fused_softmax_recovery(a, b) ** 2).sum(),
+            [r, c])
 
 
 class TestMaskedFrobenius:
@@ -514,7 +558,7 @@ class TestMaskedFrobenius:
         prediction = rng.normal(size=(2, 3, 3, 4))
         assert_parity(
             lambda p: ops.fused_masked_frobenius(p, truth, mask),
-            lambda p: ops.fused_masked_frobenius_reference(p, truth, mask),
+            lambda p: fused_masked_frobenius_reference(p, truth, mask),
             [prediction], seed=12)
 
     def test_parity_empty_mask(self, rng):
@@ -522,7 +566,7 @@ class TestMaskedFrobenius:
         mask = np.zeros((2, 3, 3))
         assert_parity(
             lambda p: ops.fused_masked_frobenius(p, truth, mask),
-            lambda p: ops.fused_masked_frobenius_reference(p, truth, mask),
+            lambda p: fused_masked_frobenius_reference(p, truth, mask),
             [rng.normal(size=(2, 3, 3, 4))], seed=13)
 
     def test_parity_broadcast_prediction(self, rng):
@@ -534,7 +578,7 @@ class TestMaskedFrobenius:
         prediction = rng.normal(size=(2, 1, 3, 3, 4))
         fused_in, _ = assert_parity(
             lambda p: ops.fused_masked_frobenius(p, truth, mask),
-            lambda p: ops.fused_masked_frobenius_reference(p, truth, mask),
+            lambda p: fused_masked_frobenius_reference(p, truth, mask),
             [prediction], seed=14)
         assert fused_in[0].grad.shape == prediction.shape
 
@@ -542,9 +586,8 @@ class TestMaskedFrobenius:
         truth = rng.uniform(size=(2, 3, 3, 2))
         mask = (rng.uniform(size=(2, 3, 3)) < 0.6).astype(float)
         p = Tensor(rng.normal(size=(2, 3, 3, 2)), requires_grad=True)
-        with ops.use_fused(True):
-            check_gradients(
-                lambda t: ops.fused_masked_frobenius(t, truth, mask), [p])
+        check_gradients(
+            lambda t: ops.fused_masked_frobenius(t, truth, mask), [p])
 
 
 class TestDirichletEnergy:
@@ -566,8 +609,7 @@ class TestDirichletEnergy:
     def test_gradcheck(self, rng):
         w = _random_proximity(4, rng)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        with ops.use_fused(True):
-            check_gradients(lambda t: dirichlet_energy(t, w), [x])
+        check_gradients(lambda t: dirichlet_energy(t, w), [x])
 
 
 TINY = MethodBudget(epochs=1, batch_size=8, max_train_batches=2,
@@ -607,8 +649,9 @@ class TestParallelDeterminism:
     reason="perf guard skipped in smoke mode")
 class TestFusedPerfGuard:
     def test_fused_af_step_not_slower(self):
-        # Tolerant guard: the microbench shows >= 2x, but CI boxes are
-        # noisy — only fail when fused is meaningfully *slower*.
+        # Tolerant guard: the fused step runs well ahead of the same step
+        # on the primitive-op oracles, but CI boxes are noisy — only
+        # fail when fused is meaningfully *slower*.
         spec = importlib.util.spec_from_file_location(
             "repro_microbench",
             Path(__file__).resolve().parents[1] / "benchmarks"
@@ -625,13 +668,12 @@ class TestFusedPerfGuard:
                 best = min(best, time.perf_counter() - start)
             return best
 
-        with ops.use_fused(True):
-            step_fused = microbench.make_af_step(sizes)
-            step_fused()                               # warmup
-            fused_s = best_of(step_fused)
-        with ops.use_fused(False):
+        step_fused = microbench.make_af_step(sizes)
+        step_fused()                                # warmup
+        fused_s = best_of(step_fused)
+        with reference_kernels():
             step_ref = microbench.make_af_step(sizes)
-            step_ref()                                 # warmup
+            step_ref()                              # warmup
             reference_s = best_of(step_ref)
         assert fused_s <= reference_s * 1.25, (
             f"fused AF step {fused_s * 1e3:.1f}ms slower than reference "

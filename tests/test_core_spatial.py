@@ -8,6 +8,8 @@ from repro.core import GCNNBlock, SpatialFactorizer, factorize_tensor_batch
 from repro.graph import build_proximity
 from repro.regions.city import manhattan_like
 
+from .oracles import reference_kernels
+
 
 @pytest.fixture
 def weights(rng):
@@ -88,16 +90,15 @@ class TestSpatialFactorizer:
         conv.bias.data[...] = 0.3
         history = Tensor(np.random.default_rng(1).uniform(size=(2, 67, 7)))
         # Reference path: relu(bias) everywhere, then the cluster means.
-        with ops.use_fused(False):
+        with reference_kernels():
             level1 = f.pools[0](ops.relu(f.convs[0](history)))
             pooled = pool(ops.relu(conv(level1)))
         assert np.allclose(pooled.data, 0.3, rtol=0, atol=1e-15)
         # Fused kernel: its cached head input is the stage-2 pooling.
         _, cache = f.encoder.op(history.data.transpose(2, 0, 1))
         assert np.allclose(cache[-2], 0.3, rtol=0, atol=1e-15)
-        with ops.use_fused(True):
-            fused = f(history).data
-        with ops.use_fused(False):
+        fused = f(history).data
+        with reference_kernels():
             reference = f(history).data
         assert np.allclose(fused, reference, rtol=1e-12, atol=1e-12)
 
