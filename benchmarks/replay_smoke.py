@@ -8,7 +8,9 @@ Two checks, both at smoke scale (see docs/EXECUTION.md):
    weights as the eager engine.  Replay re-executes the recorded op
    thunks in eager order, so any divergence means the tape no longer
    matches what eager execution does — the exact failure mode that would
-   silently corrupt checkpoints and kill-and-resume determinism.
+   silently corrupt checkpoints and kill-and-resume determinism.  The
+   engine must also prove it replayed: one capture, then ``STEPS - 1``
+   replays and no eager step, so an engine quietly running eager fails.
 2. **Speedup** — the replayed AF train step must be at least 1.2x faster
    than the eager step (interleaved best-of-N, same seed), the margin
    BENCH_AUTODIFF.json records.  A regression here means the engine
@@ -69,7 +71,8 @@ def _af_parts(seed=0):
 
 
 def _run_steps(parts_fn, engine_mode, steps=STEPS):
-    """Losses and final weights of ``steps`` training steps."""
+    """Losses, final weights and engine stats of ``steps`` training
+    steps (stats are ``None`` for the eager engine)."""
     model, loss_fn, (history, truth, mask), horizon = parts_fn()
     if engine_mode == "replay":
         optimizer = Adam(model.parameters(), flat=True)
@@ -91,13 +94,18 @@ def _run_steps(parts_fn, engine_mode, steps=STEPS):
         optimizer.step()
         losses.append(float(loss.data))
     weights = {k: v.copy() for k, v in model.state_dict().items()}
-    return losses, weights
+    return losses, weights, engine and engine.stats()
 
 
 def check_parity(name, parts_fn):
-    eager_losses, eager_weights = _run_steps(parts_fn, "eager")
-    replay_losses, replay_weights = _run_steps(parts_fn, "replay")
+    eager_losses, eager_weights, _ = _run_steps(parts_fn, "eager")
+    replay_losses, replay_weights, stats = _run_steps(parts_fn, "replay")
     failures = []
+    expected = {"captures": 1, "replays": STEPS - 1, "eager_steps": 0}
+    executed = {key: stats[key] for key in expected}
+    if executed != expected:
+        failures.append(f"{name} engine did not replay: {executed}, "
+                        f"expected {expected}")
     if eager_losses != replay_losses:
         failures.append(f"{name} losses diverge: "
                         f"{eager_losses} vs {replay_losses}")

@@ -6,8 +6,8 @@ models need (sigmoid/tanh gates, per-cell softmax recovery, concatenation
 of graph-convolution slices, dropout regularization, ...).
 
 Like the ``Tensor`` operators, every op here wraps its forward math in a
-local ``run()`` thunk and registers it with :func:`~repro.autodiff.tensor._record`
-so the capture/replay engine can re-execute a recorded step without
+local ``run()`` thunk and hands it to ``Tensor._op``, which records it so
+the capture/replay engine can re-execute a recorded step without
 rebuilding the graph (docs/EXECUTION.md).  Thunks rebind — via
 ``nonlocal`` — every intermediate their backward closure reads, and
 re-read parameter arrays (``p.data``) on each run so weight updates and
@@ -23,8 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .tensor import (Tensor, _ensure_tensor, _record, _run_forward,
-                     _unbroadcast)
+from .tensor import Tensor, _ensure_tensor, _unbroadcast
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -56,9 +55,7 @@ def exp(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(grad * out_data)
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, (x,), backward)
 
 
 def log(x: Tensor) -> Tensor:
@@ -84,9 +81,7 @@ def log(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(grad / x.data)
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, (x,), backward)
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -103,9 +98,7 @@ def sqrt(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(grad * 0.5 / out_data)
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -122,9 +115,7 @@ def sigmoid(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(grad * out_data * (1.0 - out_data))
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, (x,), backward)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -141,9 +132,7 @@ def tanh(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(grad * (1.0 - out_data ** 2))
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, (x,), backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -160,9 +149,7 @@ def relu(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(grad * mask)
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, (x,), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -187,9 +174,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
             dot = (grad * out_data).sum(axis=axis, keepdims=True)
             x._accumulate(out_data * (grad - dot))
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, (x,), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -208,9 +193,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 index[axis] = slice(start, stop)
                 tensor_i._accumulate(grad[tuple(index)])
 
-    out = Tensor._make(_run_forward(run), tuple(tensors), backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, tuple(tensors), backward)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -226,9 +209,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             if tensor_i.requires_grad:
                 tensor_i._accumulate(slab)
 
-    out = Tensor._make(_run_forward(run), tuple(tensors), backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, tuple(tensors), backward)
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
@@ -247,9 +228,7 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(grad * (~a_wins), b.shape))
 
-    out = Tensor._make(_run_forward(run), (a, b), backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, (a, b), backward)
 
 
 def abs_(x: Tensor) -> Tensor:
@@ -266,9 +245,7 @@ def abs_(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(grad * sign)
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, (x,), backward)
 
 
 def clip_min(x: Tensor, minimum: float) -> Tensor:
@@ -285,9 +262,7 @@ def clip_min(x: Tensor, minimum: float) -> Tensor:
         if x.requires_grad:
             x._accumulate(grad * mask)
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, (x,), backward)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator,
@@ -319,9 +294,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator,
         if x.requires_grad:
             x._accumulate(grad * mask)
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, (x,), backward)
 
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
@@ -338,9 +311,7 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(grad * (~condition), b.shape))
 
-    out = Tensor._make(_run_forward(run), (a, b), backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, (a, b), backward)
 
 
 def pad_axis(x: Tensor, axis: int, before: int, after: int,
@@ -364,9 +335,7 @@ def pad_axis(x: Tensor, axis: int, before: int, after: int,
             index[axis] = slice(before, before + n)
             x._accumulate(grad[tuple(index)])
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, (x,), backward)
 
 
 def take_axis(x: Tensor, indices: np.ndarray, axis: int) -> Tensor:
@@ -395,9 +364,7 @@ def take_axis(x: Tensor, indices: np.ndarray, axis: int) -> Tensor:
                 np.add.at(full, tuple(index), grad)
             x._accumulate(full)
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, (x,), backward)
 
 
 def mean_pool_axis(x: Tensor, axis: int, stride: int) -> Tensor:
@@ -445,9 +412,7 @@ def _pool_axis(x: Tensor, axis: int, stride: int, how: str) -> Tensor:
                 n, *gmoved.shape[1:])
         x._accumulate(np.moveaxis(expanded.reshape(moved_shape), 0, axis))
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, (x,), backward)
 
 
 # ======================================================================
@@ -649,9 +614,7 @@ def cheb_conv(lap: Union[Tensor, np.ndarray], x: Tensor, weight: Tensor,
                 lap_t, gm, w, lead + (batch, n, channels), order))
 
     params = tuple(p for side in zip(weights, biases) for p in side)
-    out = Tensor._make(_run_forward(run), (x,) + params, backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, (x,) + params, backward)
 
 
 # ----------------------------------------------------------------------
@@ -842,9 +805,7 @@ def gcnn_encoder(x: Tensor, encoder: GCNNEncoder) -> Tensor:
         if dx is not None:
             x._accumulate(dx)
 
-    out = Tensor._make(_run_forward(run), (x,) + params, backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, (x,) + params, backward)
 
 
 # ----------------------------------------------------------------------
@@ -914,9 +875,7 @@ def fused_gru_gates(x: Tensor, h: Tensor,
             if b_cand.requires_grad:
                 b_cand._accumulate(dpre_c.sum(axis=lead))
 
-    out = Tensor._make(_run_forward(run), (x, h) + params, backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, (x, h) + params, backward)
 
 
 # ----------------------------------------------------------------------
@@ -1010,9 +969,7 @@ def fused_cnrnn_cell(lap: Union[Tensor, np.ndarray], x: Tensor, h: Tensor,
             x._accumulate(drhx[..., hidden:] + dhx[..., hidden:])
 
     params = tuple(p for side in zip(*per_side) for p in side)
-    out = Tensor._make(_run_forward(run), (x, h) + params, backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, (x, h) + params, backward)
 
 
 # ----------------------------------------------------------------------
@@ -1059,9 +1016,7 @@ def fused_softmax_recovery(r_factors: Tensor, c_factors: Tensor) -> Tensor:
             c._accumulate(
                 _unbroadcast(np.moveaxis(dc, -3, -1), c.shape))
 
-    out = Tensor._make(_run_forward(run), (r, c), backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, (r, c), backward)
 
 
 # ----------------------------------------------------------------------
@@ -1104,6 +1059,4 @@ def fused_masked_frobenius(prediction: Tensor, truth: np.ndarray,
                 (float(grad) * 2.0 / observed) * diff * weights,
                 prediction.shape))
 
-    out = Tensor._make(_run_forward(run), (prediction,), backward)
-    _record(out, run)
-    return out
+    return Tensor._op(run, (prediction,), backward)

@@ -17,6 +17,7 @@ than always-on.
 from __future__ import annotations
 
 import contextlib
+from time import perf_counter
 from typing import Dict, Optional
 
 from .tensor import _op_label, _set_profiler
@@ -32,14 +33,23 @@ class OpProfiler:
         self._forward: Dict[str, list] = {}
         self._backward: Dict[str, list] = {}
 
-    # -- hooks called by tensor._run_forward / Tensor.backward ---------
-    def _record_forward(self, run, seconds: float) -> None:
-        entry = self._forward.setdefault(_op_label(run), [0, 0.0])
-        entry[0] += 1
-        entry[1] += seconds
+    # -- hooks called by Tensor._op, tape replay and Tensor.backward ----
+    def forward(self, run):
+        """Run an op's forward thunk, timing it; returns its output."""
+        start = perf_counter()
+        data = run()
+        self._add(self._forward, run, perf_counter() - start)
+        return data
 
-    def _record_backward(self, backward, seconds: float) -> None:
-        entry = self._backward.setdefault(_op_label(backward), [0, 0.0])
+    def backward(self, backward, grad) -> None:
+        """Run an op's backward closure on ``grad``, timing it."""
+        start = perf_counter()
+        backward(grad)
+        self._add(self._backward, backward, perf_counter() - start)
+
+    @staticmethod
+    def _add(table: Dict[str, list], closure, seconds: float) -> None:
+        entry = table.setdefault(_op_label(closure), [0, 0.0])
         entry[0] += 1
         entry[1] += seconds
 

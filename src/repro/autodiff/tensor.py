@@ -17,8 +17,9 @@ Design notes
   reduced back to the original shape by :func:`_unbroadcast`.
 * Graphs are freed after ``backward()`` unless ``retain_graph=True``.
 * Every op packages its forward computation as a local ``run()`` thunk that
-  (re)binds, via ``nonlocal``, any intermediate the backward closure needs.
-  Eager mode simply calls the thunk once; the capture/replay engine
+  (re)binds, via ``nonlocal``, any intermediate the backward closure needs,
+  and returns ``Tensor._op(run, parents, backward)``.  Eager mode simply
+  calls the thunk once; the capture/replay engine
   (:mod:`repro.autodiff.replay`) records ``(output, thunk)`` pairs and later
   re-executes the thunks directly — same arrays, same closures, no new
   Tensors — which is what makes replay bit-for-bit identical to eager
@@ -28,7 +29,6 @@ Design notes
 from __future__ import annotations
 
 import contextlib
-from time import perf_counter as _perf_counter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -73,20 +73,18 @@ def _as_array(value: ArrayLike) -> np.ndarray:
 # and the first offender raises naming the *creating* op and its input
 # shapes — turning "loss is NaN after 3 epochs" into "tanh produced Inf
 # from inputs (16, 24, 32)".  Fused kernels and primitive ops alike
-# route through Tensor._make / Tensor.backward, so one hook covers
+# route through Tensor._op / Tensor.backward, so one hook covers
 # both.  Costs a single bool check per op when off.
 _ANOMALY_ENABLED = False
 
 # ----------------------------------------------------------------------
 # Capture and profiling hooks
 # ----------------------------------------------------------------------
-# _TAPE, when set, is a recorder with an ``entries`` list and a ``made``
-# counter: every op appends its (output Tensor, forward thunk) pair and
-# Tensor._make increments ``made``.  The replay engine compares the two
-# to prove the capture covered every op (a custom op missing the thunk
-# protocol would otherwise replay stale values).  _PROFILER, when set,
-# receives exact per-op forward/backward timings.  Both cost one global
-# read per op when inactive.
+# _TAPE, when set, is a recorder with an ``entries`` list: Tensor._op
+# appends every op's (output Tensor, forward thunk) pair to it, so a
+# capture covers every graph node by construction.  _PROFILER, when set,
+# runs and times every op's forward thunk and backward closure.  Both
+# cost one global read per op when inactive.
 _TAPE = None
 _PROFILER = None
 
@@ -99,30 +97,17 @@ def _set_tape(tape):
     return previous
 
 
+def _active_profiler():
+    """The installed op profiler, or ``None``."""
+    return _PROFILER
+
+
 def _set_profiler(profiler):
     """Install ``profiler`` as the active op profiler; returns the previous."""
     global _PROFILER
     previous = _PROFILER
     _PROFILER = profiler
     return previous
-
-
-def _record(out: "Tensor", run: Callable[[], np.ndarray]) -> None:
-    """Register an op's (output, forward thunk) pair with the active tape."""
-    tape = _TAPE
-    if tape is not None:
-        tape.entries.append((out, run))
-
-
-def _run_forward(run: Callable[[], np.ndarray]) -> np.ndarray:
-    """Execute an op's forward thunk, timing it when a profiler is active."""
-    profiler = _PROFILER
-    if profiler is None:
-        return run()
-    start = _perf_counter()
-    data = run()
-    profiler._record_forward(run, _perf_counter() - start)
-    return data
 
 
 class AnomalyError(RuntimeError):
@@ -273,23 +258,32 @@ class Tensor:
         self._grad_borrowed = False
 
     # ------------------------------------------------------------------
-    # graph construction helper
+    # the op constructor
     # ------------------------------------------------------------------
     @staticmethod
-    def _make(data: np.ndarray, parents: Iterable["Tensor"],
-              backward: Callable[[np.ndarray], None]) -> "Tensor":
-        """Create an op-output tensor, recording the graph edge if needed."""
+    def _op(run: Callable[[], np.ndarray], parents: Iterable["Tensor"],
+            backward: Callable[[np.ndarray], None]) -> "Tensor":
+        """Run an op's forward thunk and return its output graph node.
+
+        The one constructor every op goes through: it executes ``run``
+        (timed when a profiler is installed), applies the anomaly check,
+        wraps the result as a default-dtype ``Tensor`` linked to
+        ``parents`` through ``backward`` when any parent requires grad,
+        and appends ``(out, run)`` to the active capture tape.
+        """
+        profiler = _PROFILER
+        data = run() if profiler is None else profiler.forward(run)
         parents = tuple(parents)
         if _ANOMALY_ENABLED:
             _anomaly_forward_check(np.asarray(data), parents, backward)
-        tape = _TAPE
-        if tape is not None:
-            tape.made += 1
         requires = any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = parents
             out._backward = backward
+        tape = _TAPE
+        if tape is not None:
+            tape.entries.append((out, run))
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -355,10 +349,7 @@ class Tensor:
                 if profiler is None:
                     node._backward(node.grad)
                 else:
-                    start = _perf_counter()
-                    node._backward(node.grad)
-                    profiler._record_backward(node._backward,
-                                              _perf_counter() - start)
+                    profiler.backward(node._backward, node.grad)
                 if _ANOMALY_ENABLED:
                     node._anomaly_backward_check()
                 # Interior nodes' grads are transient workspace; clearing
@@ -424,9 +415,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(grad, other.shape))
 
-        out = Tensor._make(_run_forward(run), (self, other), backward)
-        _record(out, run)
-        return out
+        return Tensor._op(run, (self, other), backward)
 
     __radd__ = __add__
 
@@ -438,9 +427,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(-grad)
 
-        out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run)
-        return out
+        return Tensor._op(run, (self,), backward)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         other = _ensure_tensor(other)
@@ -454,9 +441,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(-grad, other.shape))
 
-        out = Tensor._make(_run_forward(run), (self, other), backward)
-        _record(out, run)
-        return out
+        return Tensor._op(run, (self, other), backward)
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return _ensure_tensor(other).__sub__(self)
@@ -473,9 +458,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(grad * self.data, other.shape))
 
-        out = Tensor._make(_run_forward(run), (self, other), backward)
-        _record(out, run)
-        return out
+        return Tensor._op(run, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -501,9 +484,7 @@ class Tensor:
                 other._accumulate(_unbroadcast(
                     -grad * self.data / (other.data ** 2), other.shape))
 
-        out = Tensor._make(_run_forward(run), (self, other), backward)
-        _record(out, run)
-        return out
+        return Tensor._op(run, (self, other), backward)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return _ensure_tensor(other).__truediv__(self)
@@ -519,9 +500,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * exponent * self.data ** (exponent - 1))
 
-        out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run)
-        return out
+        return Tensor._op(run, (self,), backward)
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         return self.matmul(other)
@@ -556,9 +535,7 @@ class Tensor:
                     gb = np.swapaxes(a.data, -1, -2) @ grad
                 b._accumulate(_unbroadcast(gb, b.shape))
 
-        out = Tensor._make(_run_forward(run), (self, other), backward)
-        _record(out, run)
-        return out
+        return Tensor._op(run, (self, other), backward)
 
     # ------------------------------------------------------------------
     # reductions
@@ -575,9 +552,7 @@ class Tensor:
                 g = np.expand_dims(g, axis=axis)
             self._accumulate(np.broadcast_to(g, self.shape).copy())
 
-        out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run)
-        return out
+        return Tensor._op(run, (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -609,9 +584,7 @@ class Tensor:
                 else mask.sum()
             self._accumulate(mask * g / counts)
 
-        out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run)
-        return out
+        return Tensor._op(run, (self,), backward)
 
     # ------------------------------------------------------------------
     # shape ops
@@ -628,9 +601,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad.reshape(original))
 
-        out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run)
-        return out
+        return Tensor._op(run, (self,), backward)
 
     def transpose(self, axes: Optional[Sequence[int]] = None) -> "Tensor":
         if axes is None:
@@ -649,9 +620,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad.transpose(inverse))
 
-        out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run)
-        return out
+        return Tensor._op(run, (self,), backward)
 
     def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
         axes = list(range(self.ndim))
@@ -678,9 +647,7 @@ class Tensor:
                     np.add.at(full, index, grad)
                 self._accumulate(full)
 
-        out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run)
-        return out
+        return Tensor._op(run, (self,), backward)
 
     def expand_dims(self, axis: int) -> "Tensor":
         def run() -> np.ndarray:
@@ -690,9 +657,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(np.squeeze(grad, axis=axis))
 
-        out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run)
-        return out
+        return Tensor._op(run, (self,), backward)
 
     def squeeze(self, axis: int) -> "Tensor":
         def run() -> np.ndarray:
@@ -702,9 +667,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(np.expand_dims(grad, axis=axis))
 
-        out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run)
-        return out
+        return Tensor._op(run, (self,), backward)
 
 
 def _ensure_tensor(value: ArrayLike) -> Tensor:

@@ -39,22 +39,18 @@ the backward weight reduction, which motivates the two modes:
     the reduction is chunked.
 
 :func:`repro.core.spatial.sharded_factorize_tensor_batch` is the entry
-point the model uses; :meth:`ShardedExecution.factorize_arrays` is the
-raw-numpy inference twin (no autodiff, optional fork fan-out across
-shards for multi-core hosts).
+point the model uses.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import tracemalloc
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..autodiff.tensor import Tensor, _record, _run_forward
+from ..autodiff.tensor import Tensor
 from ..graph.sharding import Shard, ShardPlan
 
 __all__ = ["ShardedExecution", "ShardMemoryBudgetError",
@@ -155,46 +151,6 @@ class _GradSink:
 
 
 # ----------------------------------------------------------------------
-def _forked_entry(conn, thunk):
-    try:
-        conn.send(("ok", thunk()))
-    except Exception as exc:                    # pragma: no cover
-        conn.send(("err", repr(exc)))
-    finally:
-        conn.close()
-
-
-def _run_thunks(thunks: List, n_jobs: int) -> List:
-    """Run thunks serially or across forked workers (``n_jobs`` at a
-    time).  Fork start method required for parallelism — the thunks
-    close over live numpy state; only results cross the pipe."""
-    if n_jobs <= 1 or len(thunks) <= 1 \
-            or "fork" not in multiprocessing.get_all_start_methods():
-        return [thunk() for thunk in thunks]
-    ctx = multiprocessing.get_context("fork")
-    results = [None] * len(thunks)
-    pending = deque(enumerate(thunks))
-    active: deque = deque()
-    while pending or active:
-        while pending and len(active) < n_jobs:
-            index, thunk = pending.popleft()
-            parent, child = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_forked_entry, args=(child, thunk))
-            proc.start()
-            child.close()
-            active.append((index, proc, parent))
-        index, proc, parent = active.popleft()
-        status, payload = parent.recv()
-        proc.join()
-        parent.close()
-        if status != "ok":
-            raise RuntimeError(
-                f"sharded inference worker {index} failed: {payload}")
-        results[index] = payload
-    return results
-
-
-# ----------------------------------------------------------------------
 class ShardedExecution:
     """Executes stage-1 factorization shard by shard under a plan.
 
@@ -211,16 +167,12 @@ class ShardedExecution:
         Optional hard cap on one shard's incremental working set,
         enforced with tracemalloc on profiled forwards (the first
         forward after construction or :meth:`arm_profile`).
-    n_jobs:
-        Fork fan-out for :meth:`factorize_arrays` (inference only;
-        training stays single-process for determinism).
     """
 
     MODES = ("exact", "blocked")
 
     def __init__(self, plan: ShardPlan, mode: str = "blocked",
-                 memory_budget_bytes: Optional[int] = None,
-                 n_jobs: int = 1):
+                 memory_budget_bytes: Optional[int] = None):
         if mode not in self.MODES:
             raise ValueError(
                 f"mode must be one of {self.MODES}, got {mode!r}")
@@ -230,7 +182,6 @@ class ShardedExecution:
         self.plan = plan
         self.mode = mode
         self.memory_budget_bytes = memory_budget_bytes
-        self.n_jobs = int(n_jobs)
         self.shard_peaks: Dict[str, List[int]] = {"r": [], "c": []}
         self.last_occupancy: Dict[str, dict] = {}
         self._profile_pending = True
@@ -282,7 +233,6 @@ class ShardedExecution:
         """Summary for telemetry and benchmark reports."""
         return {"mode": self.mode,
                 "memory_budget_bytes": self.memory_budget_bytes,
-                "n_jobs": self.n_jobs,
                 "max_shard_peak_bytes": self.max_shard_peak_bytes,
                 "occupancy": self.last_occupancy,
                 "plan": self.plan.describe()}
@@ -368,10 +318,7 @@ class ShardedExecution:
             run = self._blocked_run(x, encoder, side, batch, shards,
                                     n_side, state)
             backward = self._blocked_backward(encoder, state)
-        out = Tensor._make(_run_forward(run), (x,) + encoder.params,
-                           backward)
-        _record(out, run)
-        return out
+        return Tensor._op(run, (x,) + encoder.params, backward)
 
     # ------------------------------------------------------------------
     # exact mode: per-shard forward, dense-order caches, dense backward
@@ -467,59 +414,3 @@ class ShardedExecution:
                 _backward_into(encoder, grad_empty, cache_zero, sink)
             sink.flush()
         return backward
-
-    # ------------------------------------------------------------------
-    # Raw-array inference path (serving): forward only, zero-slice
-    # collapse always on, optional fork fan-out across shards.
-    # ------------------------------------------------------------------
-    def factorize_arrays(self, factorizer_r, factorizer_c,
-                         tensors: np.ndarray,
-                         n_jobs: Optional[int] = None
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """Forward-only sharded factorization of raw arrays.
-
-        Returns ``(R, C)`` numpy arrays with the same shapes as
-        :meth:`factorize`.  ``n_jobs > 1`` fans shards out across
-        forked workers (results-only pipe transport); the default
-        (``self.n_jobs``) keeps it serial, where the zero-slice
-        collapse is still the wall-clock win on sparse cities.
-        """
-        tensors = np.asarray(tensors)
-        batch, n_origins, n_dests, k = tensors.shape
-        n_jobs = self.n_jobs if n_jobs is None else int(n_jobs)
-        r_slices = np.ascontiguousarray(
-            tensors.transpose(3, 0, 1, 2)).reshape(
-                k, batch * n_origins, n_dests)
-        c_slices = np.ascontiguousarray(
-            tensors.transpose(3, 0, 2, 1)).reshape(
-                k, batch * n_dests, n_origins)
-        r = self._side_arrays(r_slices, factorizer_r, batch,
-                              self.plan.origin_shards, n_origins, n_jobs)
-        c = self._side_arrays(c_slices, factorizer_c, batch,
-                              self.plan.dest_shards, n_dests, n_jobs)
-        r = r.reshape(k, batch, n_origins, factorizer_r.rank)
-        c = c.reshape(k, batch, n_dests, factorizer_c.rank)
-        return r.transpose(1, 2, 3, 0), c.transpose(1, 3, 2, 0)
-
-    def _side_arrays(self, x3, factorizer, batch, shards, n_side,
-                     n_jobs):
-        encoder = factorizer.encoder
-        total = x3.shape[1]
-        occupied = x3.any(axis=(0, 2))
-        zero = np.zeros((x3.shape[0], 1, x3.shape[2]), dtype=x3.dtype)
-        out_zero, _ = encoder.op(zero)
-        out_full = np.empty((out_zero.shape[0], total, out_zero.shape[-1]),
-                            dtype=out_zero.dtype)
-        out_full[:, ~occupied] = out_zero
-        row_sets = []
-        thunks = []
-        for shard in shards:
-            rows = self._shard_rows(shard, batch, n_side)
-            rows = rows[occupied[rows]]
-            if rows.size == 0:
-                continue
-            row_sets.append(rows)
-            thunks.append(lambda rows=rows: encoder.op(x3[:, rows])[0])
-        for rows, out in zip(row_sets, _run_thunks(thunks, n_jobs)):
-            out_full[:, rows] = out
-        return out_full

@@ -663,12 +663,17 @@ class ForecastService:
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        engines: Dict[str, object] = {}
-        for key, loaded in self.registry._loaded.items():
-            if loaded.engine is not None:
-                engines[str(key)] = loaded.engine.stats()
-        return {"requests": self.requests, "cache": self.cache.stats(),
-                "registry": self.registry.stats(), "engines": engines}
+        # Under the lock: forecast_many (possibly on the micro-batch
+        # thread) reorders the registry's and engines' LRU dicts, and
+        # iterating an OrderedDict while it is reordered raises.
+        with self._lock:
+            engines = {str(key): loaded.engine.stats()
+                       for key, loaded in self.registry._loaded.items()
+                       if loaded.engine is not None}
+            return {"requests": self.requests,
+                    "cache": self.cache.stats(),
+                    "registry": self.registry.stats(),
+                    "engines": engines}
 
     def close(self) -> None:
         with self._lock:

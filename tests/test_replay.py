@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 import repro.autodiff as autodiff
-from repro.autodiff import (Adam, CaptureMismatchWarning, InferenceEngine,
-                            ReplayEngine, Tensor, detect_anomaly, ops,
-                            profile)
+from repro.autodiff import (Adam, InferenceEngine, ReplayEngine, Tensor,
+                            detect_anomaly, ops, profile)
 from repro.core import (AdvancedFramework, BasicFramework, TrainConfig,
                         Trainer, af_loss, bf_loss)
 
@@ -262,28 +261,6 @@ class TestFallbacks:
         # Outside anomaly mode the engine works again.
         assert engine.forward(*batch, 2) is not None
 
-    def test_capture_mismatch_disables_engine_but_keeps_loss(self):
-        model, _ = _bf_parts()
-
-        def rogue_loss(prediction, truth, mask, r, c):
-            loss = bf_loss(prediction, truth, mask, r, c)
-            # A Tensor created behind the tape's back: _make is counted
-            # but no thunk is recorded, so the tape cannot be trusted.
-            Tensor._make(np.zeros(()), (), None)
-            return loss
-
-        engine = ReplayEngine(model, rogue_loss)
-        batch = _batch(np.random.default_rng(0))
-        with pytest.warns(CaptureMismatchWarning):
-            loss = engine.forward(*batch, 2)
-        # The eagerly-computed loss of the failed capture is still used
-        # (no RNG draw is wasted or repeated) and backward works on it.
-        assert loss is not None and loss.ndim == 0
-        engine.backward(loss)
-        assert any(p.grad is not None for p in model.parameters())
-        assert not engine.enabled
-        assert engine.forward(*batch, 2) is None    # permanently eager
-
     def test_non_scalar_loss_disables_engine(self):
         model, _ = _bf_parts()
 
@@ -291,9 +268,76 @@ class TestFallbacks:
             return prediction.reshape(-1)
 
         engine = ReplayEngine(model, vector_loss)
-        with pytest.warns(CaptureMismatchWarning):
+        with pytest.raises(ValueError, match=r"scalar loss.*\(3584,\)"):
             engine.forward(*_batch(np.random.default_rng(0)), 2)
-        assert not engine.enabled
+        assert engine.stats()["captures"] == 0
+        assert engine.stats()["tapes"] == 0
+
+
+class TestTapeCoverage:
+    """Every graph node is built by ``Tensor._op``, so a capture's tape
+    records each one exactly once, in creation order.  A future op that
+    wires ``_parents``/``_backward`` by hand would leave its node off
+    the tape (and replay would serve it stale) — this is the check that
+    catches it."""
+
+    @pytest.fixture()
+    def created(self, monkeypatch):
+        """Every Tensor constructed during the test, in creation order."""
+        log = []
+        init = Tensor.__init__
+
+        def tracking_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            log.append(self)
+
+        monkeypatch.setattr(Tensor, "__init__", tracking_init)
+        return log
+
+    @staticmethod
+    def _assert_covered(engine, created):
+        (tape,) = engine._tapes.values()
+        graph, stack = {}, [tape.root]
+        while stack:
+            node = stack.pop()
+            if id(node) not in graph:
+                graph[id(node)] = node
+                stack.extend(node._parents)
+        nodes = {key for key, node in graph.items()
+                 if node._backward is not None}
+        assert len(nodes) > 20
+        recorded = [id(out) for out, _ in tape.entries if id(out) in nodes]
+        assert sorted(recorded) == sorted(nodes)       # each exactly once
+        assert recorded == [id(t) for t in created if id(t) in nodes]
+
+    def _capture_step(self, model, loss_fn, created):
+        engine = ReplayEngine(model, loss_fn)
+        created.clear()
+        engine.forward(*_batch(np.random.default_rng(0)), 2)
+        self._assert_covered(engine, created)
+
+    def test_af_training_step(self, created):
+        self._capture_step(*_af_parts(), created)
+
+    def test_af_sharded_exact_training_step(self, created):
+        from repro.core import ShardedExecution
+        from repro.graph import chebyshev_hops, plan_shards
+        model, loss_fn = _af_parts()
+        plan = plan_shards(model.origin_weights, n_shards=2,
+                           hops=chebyshev_hops([3, 3]))
+        model.set_sharding(ShardedExecution(plan, mode="exact"))
+        self._capture_step(model, loss_fn, created)
+
+    def test_bf_training_step(self, created):
+        self._capture_step(*_bf_parts(), created)
+
+    def test_inference_forward(self, created):
+        model, _ = _af_parts()
+        engine = InferenceEngine(model)
+        history, _, _ = _batch(np.random.default_rng(0))
+        created.clear()
+        engine.predict(history, 2)
+        self._assert_covered(engine, created)
 
 
 class TestTrainerIntegration:

@@ -11,6 +11,7 @@ taking the service down.
 
 import os
 import signal
+import threading
 import time
 from types import SimpleNamespace
 
@@ -340,6 +341,37 @@ class TestForecastService:
         assert stats["cache"]["misses"] == 1
         assert stats["registry"]["loads"] == 1
         assert stats["engines"][str(key)]["captures"] == 1
+        service.close()
+
+    def test_stats_waits_for_the_service_lock(self, served):
+        """stats() walks the registry's and engines' LRU dicts, which a
+        forecast on the micro-batch thread reorders; it must take the
+        service lock rather than iterate them mid-mutation."""
+        key = ModelKey("toy")
+        service = _service(served, key)
+        service.forecast(key, served.data.sequence, S, H)
+        held, release = threading.Event(), threading.Event()
+
+        def hold_lock():
+            with service._lock:
+                held.set()
+                release.wait(30.0)
+
+        holder = threading.Thread(target=hold_lock)
+        holder.start()
+        assert held.wait(30.0)
+        results = []
+        reader = threading.Thread(
+            target=lambda: results.append(service.stats()))
+        reader.start()
+        reader.join(0.2)
+        blocked = reader.is_alive()
+        release.set()
+        holder.join(30.0)
+        reader.join(30.0)
+        assert not holder.is_alive() and not reader.is_alive()
+        assert blocked, "stats() ran while another thread held the lock"
+        assert results[0]["engines"][str(key)]["captures"] == 1
         service.close()
 
     def test_engine_validation(self):
