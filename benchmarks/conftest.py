@@ -11,7 +11,8 @@ Scale control
 ``REPRO_BENCH_SCALE=smoke`` — 12-region toy cities and tiny budgets for
     a fast end-to-end check of the harness itself (~2 minutes).
 
-Benchmarks run in float32: it halves memory traffic and doubles BLAS
+The deep methods (FC, BF, AF) train in float32 (``dtype="float32"`` on
+every budget below): it halves memory traffic and doubles BLAS
 throughput, and forecast quality is unaffected at histogram scale.
 """
 
@@ -19,10 +20,8 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
 import pytest
 
-import repro.autodiff as autodiff
 from repro.experiments import (MethodBudget, full_roster, prepare,
                                run_comparison)
 from repro.trips import chengdu_like_dataset, nyc_like_dataset, toy_dataset
@@ -35,21 +34,14 @@ def pytest_report_header(config):
     return f"repro benchmarks: scale={SCALE}"
 
 
-@pytest.fixture(scope="session", autouse=True)
-def float32_mode():
-    autodiff.set_default_dtype(np.float32)
-    yield
-    autodiff.set_default_dtype(np.float64)
-
-
 @pytest.fixture(scope="session")
 def budget():
     """Training budget for the dense deep methods (FC, BF)."""
     if SMOKE:
         return MethodBudget(epochs=2, batch_size=8, max_train_batches=4,
-                            max_val_batches=2, patience=2)
+                            max_val_batches=2, patience=2, dtype="float32")
     return MethodBudget(epochs=14, batch_size=16, max_train_batches=24,
-                        max_val_batches=4, patience=5)
+                        max_val_batches=4, patience=5, dtype="float32")
 
 
 @pytest.fixture(scope="session")
@@ -60,10 +52,10 @@ def af_budget():
     if SMOKE:
         return MethodBudget(epochs=2, batch_size=8, max_train_batches=4,
                             max_val_batches=2, patience=2,
-                            learning_rate=3e-3)
+                            learning_rate=3e-3, dtype="float32")
     return MethodBudget(epochs=16, batch_size=16, max_train_batches=25,
                         max_val_batches=4, patience=6,
-                        learning_rate=3e-3)
+                        learning_rate=3e-3, dtype="float32")
 
 
 @pytest.fixture(scope="session")
@@ -72,10 +64,10 @@ def sweep_budget():
     if SMOKE:
         return MethodBudget(epochs=1, batch_size=8, max_train_batches=3,
                             max_val_batches=1, patience=1,
-                            learning_rate=3e-3)
+                            learning_rate=3e-3, dtype="float32")
     return MethodBudget(epochs=5, batch_size=16, max_train_batches=10,
                         max_val_batches=3, patience=3,
-                        learning_rate=3e-3)
+                        learning_rate=3e-3, dtype="float32")
 
 
 @pytest.fixture(scope="session")

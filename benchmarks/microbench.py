@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.autodiff import ReplayEngine, profile, set_default_dtype
+from repro.autodiff import ReplayEngine, profile
 from repro.autodiff.optim import Adam
 from repro.core import (AdvancedFramework, BasicFramework, af_loss, bf_loss)
 
@@ -70,7 +70,8 @@ def _af_parts(sizes, seed: int = 0):
     w = _random_proximity(n, rng)
     model = AdvancedFramework(w, w, sizes["buckets"],
                               np.random.default_rng(seed), rank=4,
-                              rnn_hidden=8, rnn_order=2)
+                              rnn_hidden=8, rnn_order=2
+                              ).astype(sizes.get("dtype", "float64"))
 
     def loss_fn(prediction, truth, mask, r, c):
         return af_loss(prediction, truth, mask, r, c, w, w)
@@ -84,7 +85,8 @@ def _bf_parts(sizes, seed: int = 0):
     n = sizes["regions"]
     model = BasicFramework(n, n, sizes["buckets"],
                            np.random.default_rng(seed), rank=4,
-                           encoder_dim=16, hidden_dim=32)
+                           encoder_dim=16, hidden_dim=32
+                           ).astype(sizes.get("dtype", "float64"))
     return model, bf_loss, _train_step_batch(sizes, rng), sizes["horizon"]
 
 
@@ -189,7 +191,7 @@ def bench_engine_step(make_parts, sizes) -> dict:
     }
 
 
-def bench_smoke_epochs(epochs: int = 3) -> dict:
+def bench_smoke_epochs(epochs: int = 3, dtype: str = "float64") -> dict:
     """End-to-end ``Trainer.fit`` wall time per engine, 3-epoch smoke.
 
     Same toy city and model seed for every engine, so besides timing it
@@ -210,7 +212,7 @@ def bench_smoke_epochs(epochs: int = 3) -> dict:
     for engine in ("eager", "replay"):
         model = BasicFramework(12, 12, 7, np.random.default_rng(7),
                                rank=3, encoder_dim=8, hidden_dim=12,
-                               dropout=0.2)
+                               dropout=0.2).astype(dtype)
         config = TrainConfig(epochs=epochs, batch_size=8, patience=10,
                              seed=3, engine=engine)
         trainer = Trainer(model, bf_loss, config)
@@ -251,17 +253,13 @@ def run_microbench(scale: str = "full", dtype: str = "float32") -> dict:
     if scale not in SIZES:
         raise ValueError(f"scale must be one of {sorted(SIZES)}, "
                          f"got {scale!r}")
-    sizes = SIZES[scale]
-    set_default_dtype(np.dtype(dtype).type)
-    try:
-        engine_step = {
-            "af": bench_engine_step(_af_parts, sizes),
-            "bf": bench_engine_step(_bf_parts, sizes),
-        }
-        smoke_epochs = bench_smoke_epochs()
-        op_profile = profile_engine_step(_af_parts, sizes)
-    finally:
-        set_default_dtype(np.float64)
+    sizes = dict(SIZES[scale], dtype=dtype)
+    engine_step = {
+        "af": bench_engine_step(_af_parts, sizes),
+        "bf": bench_engine_step(_bf_parts, sizes),
+    }
+    smoke_epochs = bench_smoke_epochs(dtype=dtype)
+    op_profile = profile_engine_step(_af_parts, sizes)
     return {
         "generated_by": "benchmarks/microbench.py",
         "scale": scale,

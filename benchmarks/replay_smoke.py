@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Tape-replay engine regression gate for run_benchmarks.sh.
 
-Two checks, both at smoke scale (see docs/EXECUTION.md):
+Two checks, both on float32 models at smoke scale (see
+docs/EXECUTION.md):
 
 1. **Parity** — 5 training steps of BF and AF (dropout on) through the
    replay engine must produce bit-for-bit the same losses and final
@@ -29,7 +30,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.autodiff import ReplayEngine, set_default_dtype
+from repro.autodiff import ReplayEngine
 from repro.autodiff.optim import Adam
 from repro.core import (AdvancedFramework, BasicFramework, af_loss, bf_loss)
 
@@ -48,7 +49,8 @@ def _proximity(n, rng):
 def _bf_parts(seed=0):
     rng = np.random.default_rng(seed)
     model = BasicFramework(8, 8, 7, np.random.default_rng(7), rank=3,
-                           encoder_dim=8, hidden_dim=16, dropout=0.2)
+                           encoder_dim=8, hidden_dim=16,
+                           dropout=0.2).astype(np.float32)
     batch = (rng.uniform(size=(8, 4, 8, 8, 7)),
              rng.uniform(size=(8, 2, 8, 8, 7)),
              (rng.uniform(size=(8, 2, 8, 8)) < 0.4).astype(float))
@@ -59,7 +61,8 @@ def _af_parts(seed=0):
     rng = np.random.default_rng(seed)
     w = _proximity(8, rng)
     model = AdvancedFramework(w, w, 7, np.random.default_rng(7), rank=4,
-                              rnn_hidden=8, rnn_order=2, dropout=0.2)
+                              rnn_hidden=8, rnn_order=2,
+                              dropout=0.2).astype(np.float32)
 
     def loss_fn(prediction, truth, mask, r, c):
         return af_loss(prediction, truth, mask, r, c, w, w)
@@ -153,7 +156,6 @@ def check_af_speedup():
 
 
 def main() -> int:
-    set_default_dtype(np.float32)
     failures = []
     failures += check_parity("bf", _bf_parts)
     failures += check_parity("af", _af_parts)

@@ -29,7 +29,8 @@ from conftest import SMOKE, run_once
 
 BUDGET = MethodBudget(epochs=2 if SMOKE else 8, batch_size=16,
                       max_train_batches=4 if SMOKE else 12,
-                      max_val_batches=2, patience=4, learning_rate=3e-3)
+                      max_val_batches=2, patience=4, learning_rate=3e-3,
+                      dtype="float32")
 
 
 @pytest.fixture(scope="module")

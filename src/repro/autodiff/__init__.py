@@ -23,12 +23,10 @@ from .profiler import OpProfiler, profile
 from .replay import InferenceEngine, ReplayEngine
 from .rnn import GRU, GRUCell, LSTMCell, Seq2Seq
 from .tensor import (AnomalyError, Tensor, anomaly_enabled, detect_anomaly,
-                     get_default_dtype, ones, set_default_dtype, tensor,
-                     zeros)
+                     ones, tensor, zeros)
 
 __all__ = [
     "Tensor", "tensor", "zeros", "ones",
-    "set_default_dtype", "get_default_dtype",
     "detect_anomaly", "anomaly_enabled", "AnomalyError",
     "ops", "init",
     "Module", "Parameter",

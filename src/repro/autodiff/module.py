@@ -2,8 +2,8 @@
 
 A :class:`Module` owns named :class:`Parameter` tensors and child modules
 and exposes the usual conveniences: recursive parameter collection,
-train/eval mode switching, zeroing gradients, and state-dict style
-save/load of raw numpy weights.
+train/eval mode switching, precision casting (:meth:`Module.astype`),
+zeroing gradients, and state-dict style save/load of raw numpy weights.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import _FLOAT64, _FLOAT_DTYPES, Tensor
 
 
 class Parameter(Tensor):
@@ -29,7 +29,14 @@ class Module:
     attributes; those are discovered automatically for optimization and
     serialization.  Subclasses implement :meth:`forward`; calling the
     module invokes it.
+
+    A module is built in float64; :meth:`astype` casts it to float32 (or
+    back), and ops then compute in the dtype of their operands.
     """
+
+    #: The dtype :meth:`astype` last cast this module to, kept per
+    #: module so :attr:`dtype` never walks the tree.
+    _dtype = _FLOAT64
 
     def __init__(self):
         self._training = True
@@ -56,6 +63,37 @@ class Module:
         """Put this module (and all children) in evaluation mode."""
         for module in self.modules():
             module._training = False
+        return self
+
+    # ------------------------------------------------------------------
+    @property
+    def dtype(self) -> np.dtype:
+        """The floating dtype of this module's parameters."""
+        return self._dtype
+
+    def astype(self, dtype) -> "Module":
+        """Cast every Parameter and Tensor attribute, in place, to
+        ``dtype`` (float32 or float64); returns ``self``.
+
+        The Tensor objects stay the same, only their arrays are
+        replaced, so layers that share a parameter keep sharing it.
+        Call this before building an optimizer: flat optimizer buffers
+        and replay tapes alias the old arrays.
+        """
+        dtype = np.dtype(dtype)
+        if dtype not in _FLOAT_DTYPES:
+            raise ValueError(f"dtype must be float32 or float64, got {dtype}")
+        for module in self.modules():
+            module._dtype = dtype
+            for value in vars(module).values():
+                items = value if isinstance(value, (list, tuple)) \
+                    else (value,)
+                for item in items:
+                    if isinstance(item, Tensor) \
+                            and item.data.dtype != dtype:
+                        item.data = item.data.astype(dtype)
+                        if item.grad is not None:
+                            item.grad = item.grad.astype(dtype)
         return self
 
     # ------------------------------------------------------------------
@@ -134,9 +172,10 @@ class Module:
                 f"unexpected={sorted(unexpected)}")
         for name, parameter in own.items():
             # Cast to the parameter's *existing* dtype: a float32 model
-            # must stay float32 through early-stopping restore and
-            # ``load_model``, and a float64 model must not silently
-            # truncate to a narrower saved dtype.
+            # must stay float32 through early-stopping restore, and a
+            # float64 model must not silently truncate to a narrower
+            # saved dtype.  Files on disk carry their own precision:
+            # ``repro.persistence`` casts the model to it first.
             value = np.asarray(state[name], dtype=parameter.data.dtype)
             if value.shape != parameter.shape:
                 raise ValueError(

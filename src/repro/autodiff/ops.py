@@ -214,7 +214,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise maximum (ties route gradient to the first input)."""
-    a, b = _ensure_tensor(a), _ensure_tensor(b)
+    a, b = _ensure_tensor(a, b), _ensure_tensor(b, a)
     a_wins = None
 
     def run() -> np.ndarray:
@@ -299,7 +299,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator,
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Select from ``a`` where ``condition`` else ``b`` (condition is data)."""
-    a, b = _ensure_tensor(a), _ensure_tensor(b)
+    a, b = _ensure_tensor(a, b), _ensure_tensor(b, a)
     condition = np.asarray(condition, dtype=bool)
 
     def run() -> np.ndarray:

@@ -49,8 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensor import (Tensor, _active_profiler, _set_tape, anomaly_enabled,
-                     get_default_dtype)
+from .tensor import Tensor, _active_profiler, _set_tape, anomaly_enabled
 
 __all__ = ["InferenceEngine", "ReplayEngine"]
 
@@ -73,10 +72,10 @@ class _Tape:
         """Re-run every recorded thunk in order on the current buffers.
 
         Each output is coerced to its captured dtype: ``Tensor._op``
-        casts op results to the default dtype on the eager path, and a
-        thunk whose internal math runs wider (e.g. a float64 structural
-        matrix under float32 training) must round identically here or
-        every downstream op drifts off the eager bit pattern.
+        casts op results to their operands' dtype on the eager path,
+        and a thunk whose internal math runs wider (e.g. a float64
+        structural matrix under a float32 model) must round identically
+        here or every downstream op drifts off the eager bit pattern.
         ``np.asarray`` is a no-op when the dtype already matches.
         """
         profiler = _active_profiler()
@@ -93,8 +92,8 @@ class _Tape:
 class _TapeEngine:
     """Capture-once, replay-many core shared by both engines.
 
-    Tapes are keyed by the input shapes, horizon, default dtype and the
-    model's training flag, and kept least-recently-used up to
+    Tapes are keyed by the input shapes, horizon, the model's dtype and
+    its training flag, and kept least-recently-used up to
     ``max_tapes`` (a ragged final batch per epoch needs 2; more only
     helps when shapes genuinely alternate).
     """
@@ -118,11 +117,10 @@ class _TapeEngine:
             self.eager_steps += 1
             return None
         signature = (tuple(np.shape(x) for x in inputs), int(horizon),
-                     np.dtype(get_default_dtype()).name,
-                     bool(self.model.training))
+                     self.model.dtype.name, bool(self.model.training))
         tape = self._tapes.get(signature)
         if tape is None:
-            tape = self._capture(inputs, build)
+            tape = self._capture(inputs, build, self.model.dtype)
             if len(self._tapes) >= self.max_tapes:
                 self._tapes.popitem(last=False)  # evict least recently used
             self._tapes[signature] = tape
@@ -136,13 +134,13 @@ class _TapeEngine:
         return tape.root
 
     @staticmethod
-    def _capture(inputs: Sequence, build: Callable[..., Tensor]) -> _Tape:
+    def _capture(inputs: Sequence, build: Callable[..., Tensor],
+                 dtype: np.dtype) -> _Tape:
         """Record one eager run of ``build`` into a fresh tape."""
-        # Persistent input buffers in the library dtype: the model and
-        # loss wrap/alias default-dtype arrays without copying, so every
+        # Persistent input buffers in the model's dtype: the model and
+        # loss wrap/alias arrays of that dtype without copying, so every
         # captured closure sees these exact buffers and a replay only
         # has to np.copyto new contents into them.
-        dtype = get_default_dtype()
         tape = _Tape([np.array(x, dtype=dtype) for x in inputs])
         previous = _set_tape(tape)
         try:

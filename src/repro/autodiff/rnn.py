@@ -58,7 +58,7 @@ class GRUCell(Module):
                                    self.w_cand, self.b_cand)
 
     def initial_state(self, batch: int) -> Tensor:
-        return Tensor(np.zeros((batch, self.hidden_size)))
+        return Tensor(np.zeros((batch, self.hidden_size), dtype=self.dtype))
 
 
 class GRU(Module):
@@ -141,7 +141,8 @@ class Seq2Seq(Module):
         if self.input_size == self.output_size:
             step_input = history[:, -1]
         else:
-            step_input = Tensor(np.zeros((batch, self.output_size)))
+            step_input = Tensor(np.zeros((batch, self.output_size),
+                                         dtype=self.dtype))
         predictions = []
         for j in range(horizon):
             layer_input = step_input
@@ -205,5 +206,5 @@ class LSTMCell(Module):
         return h_new, c_new
 
     def initial_state(self, batch: int) -> tuple:
-        zeros_state = np.zeros((batch, self.hidden_size))
+        zeros_state = np.zeros((batch, self.hidden_size), dtype=self.dtype)
         return Tensor(zeros_state.copy()), Tensor(zeros_state.copy())

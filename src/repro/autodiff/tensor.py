@@ -16,6 +16,11 @@ Design notes
 * Broadcasting is supported everywhere numpy broadcasts; gradients are
   reduced back to the original shape by :func:`_unbroadcast`.
 * Graphs are freed after ``backward()`` unless ``retain_graph=True``.
+* Precision follows the operands: a Tensor keeps a float32/float64
+  array's dtype, every op's output takes its Tensor parents' result
+  dtype, and a raw scalar or array combined with a Tensor takes that
+  Tensor's dtype.  A model's precision is that of its parameters
+  (:meth:`repro.autodiff.Module.astype`).
 * Every op packages its forward computation as a local ``run()`` thunk that
   (re)binds, via ``nonlocal``, any intermediate the backward closure needs,
   and returns ``Tensor._op(run, parents, backward)``.  Eager mode simply
@@ -35,34 +40,24 @@ import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-# The library-wide floating dtype.  float64 (the default) is what the
-# test suite's numerical gradient checks need; switching to float32
-# roughly halves memory traffic and doubles BLAS throughput, which the
-# benchmark harness uses for full-city training runs.
-_DEFAULT_DTYPE = np.float64
+#: The floating dtypes a Tensor holds; anything else becomes float64.
+#: float64 first: the default dtype then matches on the first compare.
+_FLOAT64 = np.dtype(np.float64)
+_FLOAT_DTYPES = (_FLOAT64, np.dtype(np.float32))
 
 
-def set_default_dtype(dtype) -> None:
-    """Set the dtype used by all subsequently-created tensors."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"dtype must be float32 or float64, got {dtype}")
-    _DEFAULT_DTYPE = dtype.type
+def _as_array(value: ArrayLike, dtype=None) -> np.ndarray:
+    """Coerce ``value`` to a floating numpy array.
 
-
-def get_default_dtype():
-    """The dtype new tensors are created with."""
-    return _DEFAULT_DTYPE
-
-
-def _as_array(value: ArrayLike) -> np.ndarray:
-    """Coerce ``value`` to a numpy array of the library dtype."""
-    if isinstance(value, np.ndarray):
-        if value.dtype != _DEFAULT_DTYPE:
-            return value.astype(_DEFAULT_DTYPE)
-        return value
-    return np.asarray(value, dtype=_DEFAULT_DTYPE)
+    With ``dtype`` given, the result has that dtype.  Otherwise a
+    float32/float64 ndarray keeps its own dtype and everything else
+    (Python scalars, lists, int/bool arrays) becomes float64.
+    """
+    if dtype is None:
+        if isinstance(value, np.ndarray) and value.dtype in _FLOAT_DTYPES:
+            return value
+        dtype = _FLOAT64
+    return np.asarray(value, dtype=dtype)
 
 
 # ----------------------------------------------------------------------
@@ -197,6 +192,8 @@ class Tensor:
     ----------
     data:
         Array (or scalar / nested sequence) holding the tensor's value.
+        A float32 or float64 ndarray keeps its dtype; anything else
+        becomes float64.
     requires_grad:
         If ``True``, operations involving this tensor are recorded so that
         :meth:`backward` can compute ``d(output)/d(this)`` into ``grad``.
@@ -267,15 +264,26 @@ class Tensor:
 
         The one constructor every op goes through: it executes ``run``
         (timed when a profiler is installed), applies the anomaly check,
-        wraps the result as a default-dtype ``Tensor`` linked to
-        ``parents`` through ``backward`` when any parent requires grad,
-        and appends ``(out, run)`` to the active capture tape.
+        wraps the result as a ``Tensor`` linked to ``parents`` through
+        ``backward`` when any parent requires grad, and appends
+        ``(out, run)`` to the active capture tape.
+
+        The output takes the numpy result dtype of ``parents``: a thunk
+        whose internal math runs wider (a float64 structural matrix
+        under a float32 model) is rounded back to its operands' dtype.
         """
         profiler = _PROFILER
         data = run() if profiler is None else profiler.forward(run)
         parents = tuple(parents)
         if _ANOMALY_ENABLED:
             _anomaly_forward_check(np.asarray(data), parents, backward)
+        dtype = parents[0].data.dtype if parents else _FLOAT64
+        for parent in parents:
+            if parent.data.dtype != dtype:
+                dtype = np.result_type(*(p.data.dtype for p in parents))
+                break
+        if not isinstance(data, np.ndarray) or data.dtype != dtype:
+            data = np.asarray(data, dtype=dtype)
         requires = any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
@@ -331,7 +339,7 @@ class Tensor:
                                    "backward()")
             grad = np.ones_like(self.data)
         else:
-            grad = _as_array(grad)
+            grad = _as_array(grad, self.data.dtype)
             if grad.shape != self.shape:
                 raise ValueError(
                     f"grad shape {grad.shape} does not match tensor shape "
@@ -404,7 +412,7 @@ class Tensor:
     # arithmetic ops
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other = _ensure_tensor(other)
+        other = _ensure_tensor(other, self)
 
         def run() -> np.ndarray:
             return self.data + other.data
@@ -430,7 +438,7 @@ class Tensor:
         return Tensor._op(run, (self,), backward)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        other = _ensure_tensor(other)
+        other = _ensure_tensor(other, self)
 
         def run() -> np.ndarray:
             return self.data - other.data
@@ -444,10 +452,10 @@ class Tensor:
         return Tensor._op(run, (self, other), backward)
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return _ensure_tensor(other).__sub__(self)
+        return _ensure_tensor(other, self).__sub__(self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other = _ensure_tensor(other)
+        other = _ensure_tensor(other, self)
 
         def run() -> np.ndarray:
             return self.data * other.data
@@ -463,7 +471,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = _ensure_tensor(other)
+        other = _ensure_tensor(other, self)
         # Data-dependent guard: runs when the op is built (eager and
         # capture), not on replay — see docs/EXECUTION.md.
         if (other.data == 0).any():
@@ -487,7 +495,7 @@ class Tensor:
         return Tensor._op(run, (self, other), backward)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return _ensure_tensor(other).__truediv__(self)
+        return _ensure_tensor(other, self).__truediv__(self)
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
@@ -507,7 +515,7 @@ class Tensor:
 
     def matmul(self, other: ArrayLike) -> "Tensor":
         """Matrix product with full broadcasting over batch dimensions."""
-        other = _ensure_tensor(other)
+        other = _ensure_tensor(other, self)
         a, b = self, other
 
         def run() -> np.ndarray:
@@ -670,10 +678,13 @@ class Tensor:
         return Tensor._op(run, (self,), backward)
 
 
-def _ensure_tensor(value: ArrayLike) -> Tensor:
+def _ensure_tensor(value: ArrayLike, like=None) -> Tensor:
+    """``value`` as a Tensor; a raw scalar or array takes the dtype of
+    its partner operand ``like`` when that is a Tensor."""
     if isinstance(value, Tensor):
         return value
-    return Tensor(value)
+    dtype = like.data.dtype if isinstance(like, Tensor) else None
+    return Tensor(_as_array(value, dtype))
 
 
 # ----------------------------------------------------------------------

@@ -44,7 +44,8 @@ class FCBaseline(Module):
 
     def forward(self, history: Union[np.ndarray, Tensor], horizon: int
                 ) -> Tuple[Tensor, None, None]:
-        x = history if isinstance(history, Tensor) else Tensor(history)
+        x = history if isinstance(history, Tensor) \
+            else Tensor(np.asarray(history, dtype=self.dtype))
         if x.ndim != 5:
             raise ValueError(f"history must be (B, s, N, N', K), "
                              f"got shape {x.shape}")

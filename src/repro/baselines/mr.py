@@ -86,7 +86,8 @@ class MRForecaster(Forecaster):
                 batch = order[start:start + self.batch_size]
                 predicted = self._network(o_idx[batch], d_idx[batch],
                                           slots[batch])
-                diff = predicted - Tensor(targets[batch])
+                diff = predicted - Tensor(np.asarray(
+                    targets[batch], dtype=self._network.dtype))
                 loss = (diff * diff).sum() * (1.0 / len(batch))
                 self._network.zero_grad()
                 loss.backward()

@@ -31,7 +31,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-import numpy as np
 
 CITY_CHOICES = ("toy", "nyc", "cd")
 
@@ -67,18 +66,16 @@ def _apply_contracts(args) -> None:
 
 def cmd_compare(args) -> int:
     _apply_contracts(args)
-    import repro.autodiff as autodiff
     from .experiments import (MethodBudget, full_roster, prepare,
                               run_comparison)
     from .persistence import export_comparison
 
-    if args.float32:
-        autodiff.set_default_dtype(np.float32)
     dataset = _build_dataset(args)
     data = prepare(dataset, s=args.s, h=args.h)
     budget = MethodBudget(epochs=args.epochs, batch_size=args.batch_size,
                           max_train_batches=args.max_batches,
-                          engine=args.engine)
+                          engine=args.engine,
+                          dtype="float32" if args.float32 else "float64")
     roster = full_roster(budget)
     wanted = [m.strip() for m in args.methods.split(",") if m.strip()]
     unknown = [m for m in wanted if m not in roster]
@@ -295,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--max-batches", type=int, default=12)
     compare.add_argument("--max-test-windows", type=int, default=32)
     compare.add_argument("--float32", action="store_true",
-                         help="train in float32 (2x faster)")
+                         help="train FC, BF and AF in float32 (2x "
+                              "faster)")
     compare.add_argument("--engine", default="eager",
                          choices=ENGINE_MODES,
                          help="training-step executor: replay captures "

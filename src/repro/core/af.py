@@ -106,7 +106,8 @@ class AdvancedFramework(Module):
         ``(B, s, N, N', K)`` → ``(prediction, R̂, Ĉ)`` with shapes
         ``(B, h, N, N', K)``, ``(B, h, N, β, K)``, ``(B, h, β, N', K)``.
         """
-        x = history if isinstance(history, Tensor) else Tensor(history)
+        x = history if isinstance(history, Tensor) \
+            else Tensor(np.asarray(history, dtype=self.dtype))
         if x.ndim != 5:
             raise ValueError(f"history must be (B, s, N, N', K), "
                              f"got shape {x.shape}")

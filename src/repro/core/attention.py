@@ -78,7 +78,8 @@ class AttentiveSeq2Seq(Module):
         if self.input_size == self.output_size:
             step_input = history[:, -1]
         else:
-            step_input = Tensor(np.zeros((batch, self.output_size)))
+            step_input = Tensor(np.zeros((batch, self.output_size),
+                                         dtype=self.dtype))
         predictions = []
         for j in range(horizon):
             layer_input = step_input

@@ -90,7 +90,8 @@ class BasicFramework(Module):
         ``(B, h, N, N', K)`` with valid per-cell histograms, and the
         factor tensors are ``(B, h, N, β, K)`` and ``(B, h, β, N', K)``.
         """
-        x = history if isinstance(history, Tensor) else Tensor(history)
+        x = history if isinstance(history, Tensor) \
+            else Tensor(np.asarray(history, dtype=self.dtype))
         if x.ndim != 5:
             raise ValueError(f"history must be (B, s, N, N', K), "
                              f"got shape {x.shape}")

@@ -52,7 +52,8 @@ class CNRNNCell(Module):
                                     self.conv_reset.order)
 
     def initial_state(self, batch: int) -> Tensor:
-        return Tensor(np.zeros((batch, self.n_nodes, self.hidden_channels)))
+        return Tensor(np.zeros((batch, self.n_nodes, self.hidden_channels),
+                               dtype=self.dtype))
 
 
 class GraphSeq2Seq(Module):
@@ -140,7 +141,7 @@ def _rollout(rnns: Sequence[GraphSeq2Seq], history: Tensor,
         return layer_input
 
     states: List[Tensor] = [
-        Tensor(np.zeros(signal + (cell.hidden_channels,)))
+        Tensor(np.zeros(signal + (cell.hidden_channels,), dtype=cell.dtype))
         for cell in head.encoder_cells]
     encoder = cell_args("encoder_cells")
     for t in range(history.shape[-3]):
@@ -148,7 +149,8 @@ def _rollout(rnns: Sequence[GraphSeq2Seq], history: Tensor,
     if head.in_channels == head.out_channels:
         step_input = history[lead + (slice(None), -1)]
     else:
-        step_input = Tensor(np.zeros(signal + (head.out_channels,)))
+        step_input = Tensor(np.zeros(signal + (head.out_channels,),
+                                     dtype=head.dtype))
     decoder = cell_args("decoder_cells")
     proj_lap, proj_params = _side_args(
         [rnn.proj for rnn in rnns],

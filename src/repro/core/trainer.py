@@ -14,6 +14,7 @@ optional ``telemetry`` hook (see :mod:`repro.telemetry`).
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -126,15 +127,6 @@ def _module_rngs(model: Module) -> List[np.random.Generator]:
                 seen.add(id(value))
                 rngs.append(value)
     return rngs
-
-
-def _global_grad_norm(parameters) -> float:
-    """L2 norm over all parameter gradients (NaN/Inf propagate)."""
-    total = 0.0
-    for parameter in parameters:
-        if parameter.grad is not None:
-            total += float(np.sum(np.square(parameter.grad)))
-    return float(np.sqrt(total))
 
 
 class Trainer:
@@ -289,10 +281,8 @@ class Trainer:
                     loss.backward()
                 if after_backward is not None:
                     after_backward(self.model, epoch, b)
-                if cfg.clip_norm:
-                    grad_norm = clip_grad_norm(params, cfg.clip_norm)
-                else:
-                    grad_norm = _global_grad_norm(params)
+                grad_norm = clip_grad_norm(params,
+                                           cfg.clip_norm or math.inf)
                 if not np.isfinite(grad_norm):
                     self._handle_nonfinite_grad(grad_norm, epoch, b,
                                                 telemetry)
@@ -454,15 +444,17 @@ class Trainer:
         was_training = self.model.training
         self.model.eval()
         losses = []
-        batches = dataset.batches(indices, self.config.batch_size)
-        for b, (histories, targets, masks) in enumerate(batches):
-            if max_batches is not None and b >= max_batches:
-                break
-            prediction, _, _ = self.model(histories, horizon)
-            losses.append(masked_frobenius(prediction, targets,
-                                           masks).item())
-        if was_training:
-            self.model.train()
+        try:
+            batches = dataset.batches(indices, self.config.batch_size)
+            for b, (histories, targets, masks) in enumerate(batches):
+                if max_batches is not None and b >= max_batches:
+                    break
+                prediction, _, _ = self.model(histories, horizon)
+                losses.append(masked_frobenius(prediction, targets,
+                                               masks).item())
+        finally:
+            if was_training:
+                self.model.train()
         return float(np.mean(losses)) if losses else float("nan")
 
     # ------------------------------------------------------------------
@@ -472,10 +464,12 @@ class Trainer:
         was_training = self.model.training
         self.model.eval()
         outputs = []
-        for histories, _, _ in dataset.batches(indices,
-                                               self.config.batch_size):
-            prediction, _, _ = self.model(histories, horizon)
-            outputs.append(prediction.numpy())
-        if was_training:
-            self.model.train()
+        try:
+            for histories, _, _ in dataset.batches(indices,
+                                                   self.config.batch_size):
+                prediction, _, _ = self.model(histories, horizon)
+                outputs.append(prediction.numpy())
+        finally:
+            if was_training:
+                self.model.train()
         return np.concatenate(outputs, axis=0)

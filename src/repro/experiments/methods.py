@@ -37,6 +37,9 @@ class MethodBudget:
     #: Training-step execution engine (``"eager"``/``"replay"``); replay
     #: is bit-for-bit identical (measured costs in docs/EXECUTION.md).
     engine: str = "eager"
+    #: Precision FC, BF and AF are built and trained in (``"float64"``
+    #: or ``"float32"``, see :meth:`repro.autodiff.Module.astype`).
+    dtype: str = "float64"
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
@@ -78,7 +81,7 @@ def make_fc(data: ExperimentData,
     n = data.city.n_regions
     model = FCBaseline(n, n, data.sequence.n_buckets, rng,
                        encoder_dim=hp.encoder_dim, hidden_dim=hp.gru_units,
-                       dropout=hp.dropout)
+                       dropout=hp.dropout).astype(budget.dtype)
     return NeuralForecaster("fc", model, plain_loss, budget.train_config())
 
 
@@ -90,7 +93,8 @@ def make_bf(data: ExperimentData,
     n = data.city.n_regions
     model = BasicFramework(n, n, data.sequence.n_buckets, rng,
                            rank=hp.rank, encoder_dim=hp.encoder_dim,
-                           hidden_dim=hp.gru_units, dropout=hp.dropout)
+                           hidden_dim=hp.gru_units,
+                           dropout=hp.dropout).astype(budget.dtype)
 
     def loss(pred, truth, mask, r, c):
         return bf_loss(pred, truth, mask, r, c,
@@ -122,7 +126,7 @@ def make_af(data: ExperimentData,
                               rnn_order=(rnn_order if rnn_order is not None
                                          else hp.cnrnn_order),
                               cluster_pooling=cluster_pooling,
-                              dropout=hp.dropout)
+                              dropout=hp.dropout).astype(budget.dtype)
 
     if dirichlet:
         def loss(pred, truth, mask, r, c):

@@ -106,14 +106,23 @@ def save_model(model: Module, path: PathLike) -> None:
     _atomic_savez(Path(path), state)
 
 
+def _file_dtype(state: Dict[str, np.ndarray]) -> np.dtype:
+    """The precision a weight file was saved in."""
+    return np.result_type(*(value.dtype for value in state.values()))
+
+
 def load_model(model: Module, path: PathLike) -> Module:
     """Load weights saved by :func:`save_model` into ``model`` (strict).
 
     The module must already be constructed with matching architecture;
-    returns the same module for chaining.
+    it is cast to the file's dtype first (:meth:`Module.astype`), so a
+    float32-trained file loads as a float32 model.  Returns the same
+    module for chaining.
     """
     with np.load(str(path)) as archive:
         state = {name: archive[name] for name in archive.files}
+    if state:
+        model.astype(_file_dtype(state))
     model.load_state_dict(state)
     return model
 
@@ -212,6 +221,10 @@ def load_checkpoint(path: PathLike, model: Optional[Module] = None,
 
     Returns the full :class:`Checkpoint` so callers can also recover the
     epoch counter, RNG state, learning curves, and best-so-far weights.
+    A restored ``model`` is first cast to the dtype the file's weights
+    were saved in.  Resuming with an ``optimizer`` must not change
+    precision partway through a run, so that case raises ``ValueError``
+    when the model's dtype differs from the file's.
     Raises :class:`CheckpointCorruptError` for truncated/bit-flipped/
     wrong-schema files (see :class:`~repro.core.trainer.Trainer`, whose
     resume path falls back to ``best.npz`` on corruption).
@@ -273,6 +286,14 @@ def load_checkpoint(path: PathLike, model: Optional[Module] = None,
         best_state=best_state or None,
         extra=meta.get("extra", {}))
     if model is not None:
+        if model_state:
+            dtype = _file_dtype(model_state)
+            if optimizer is not None and model.dtype != dtype:
+                raise ValueError(
+                    f"{path} was saved in {dtype.name}, but the model "
+                    f"being resumed is {model.dtype.name}; a resume must "
+                    f"not change precision")
+            model.astype(dtype)
         model.load_state_dict(checkpoint.model_state)
     if optimizer is not None:
         if optimizer_state is None:

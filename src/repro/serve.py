@@ -292,9 +292,10 @@ class ModelRegistry:
         start = time.perf_counter()
         try:
             model = builder()
-            checkpoint = load_checkpoint(path)    # SHA-256 verified
-            state = checkpoint.best_state or checkpoint.model_state
-            model.load_state_dict(state)
+            # SHA-256 verified; the model takes the file's precision.
+            checkpoint = load_checkpoint(path, model=model)
+            if checkpoint.best_state:
+                model.load_state_dict(checkpoint.best_state)
         except Exception as exc:   # CheckpointCorruptError, bad state, ...
             self.errors += 1
             emit(self.telemetry, "model_error", key=str(key),

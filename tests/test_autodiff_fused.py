@@ -22,7 +22,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.autodiff import Tensor, check_gradients, ops
-from repro.autodiff.tensor import get_default_dtype, set_default_dtype
 from repro.core.af import AdvancedFramework
 from repro.core.spatial import (DEFAULT_BLOCKS, GCNNBlock,
                                 SpatialFactorizer, factorize_tensor_batch)
@@ -135,27 +134,22 @@ class TestChebConv:
         # gradients float32, even against a float64 proximity matrix.
         lap = rng.normal(size=(4, 4)).astype(np.float32)
         graph = _random_proximity(5, rng)
-        set_default_dtype(np.float32)
-        try:
-            weight = Tensor(rng.normal(size=(6, 3)).astype(np.float32),
-                            requires_grad=True)
-            bias = Tensor(np.zeros(3, dtype=np.float32),
-                          requires_grad=True)
-            kernels = {
-                "cheb_conv": ((2, 4, 3), lambda t: ops.cheb_conv(
-                    lap, t, weight, bias, 2), [weight]),
-                "dirichlet_energy": ((2, 5, 3), lambda t: dirichlet_energy(
-                    t, graph, node_axis=1), []),
-            }
-            for name, (shape, kernel, params) in kernels.items():
-                x = Tensor(rng.normal(size=shape).astype(np.float32),
-                           requires_grad=True)
-                out = kernel(x)
-                out.backward(grad=np.ones(out.shape, dtype=np.float32))
-                for array in [out.data, x.grad] + [p.grad for p in params]:
-                    assert array.dtype == np.float32, name
-        finally:
-            set_default_dtype(np.float64)
+        weight = Tensor(rng.normal(size=(6, 3)).astype(np.float32),
+                        requires_grad=True)
+        bias = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        kernels = {
+            "cheb_conv": ((2, 4, 3), lambda t: ops.cheb_conv(
+                lap, t, weight, bias, 2), [weight]),
+            "dirichlet_energy": ((2, 5, 3), lambda t: dirichlet_energy(
+                t, graph, node_axis=1), []),
+        }
+        for name, (shape, kernel, params) in kernels.items():
+            x = Tensor(rng.normal(size=shape).astype(np.float32),
+                       requires_grad=True)
+            out = kernel(x)
+            out.backward(grad=np.ones(out.shape, dtype=np.float32))
+            for array in [out.data, x.grad] + [p.grad for p in params]:
+                assert array.dtype == np.float32, name
 
 
 def _factorizer(weights, n_buckets=4, rank=3, blocks=DEFAULT_BLOCKS,
@@ -180,11 +174,12 @@ def assert_encoder_parity(factorizers, tensors, seed, tol=PARITY):
     parameter gradient must agree under a fixed random cotangent.
     """
     params = [p for f in factorizers for p in f.parameters()]
+    dtype = factorizers[0].dtype
 
     def run(fused):
         for p in params:
             p.grad = None
-        x = Tensor(tensors.copy(), requires_grad=True)
+        x = Tensor(tensors.astype(dtype), requires_grad=True)
         with contextlib.nullcontext() if fused else reference_kernels():
             if len(factorizers) == 1:
                 outs = [factorizers[0](x)]
@@ -193,7 +188,7 @@ def assert_encoder_parity(factorizers, tensors, seed, tol=PARITY):
             draws = np.random.default_rng(seed)
             loss = None
             for out in outs:
-                term = (out * Tensor(draws.normal(size=out.shape))).sum()
+                term = (out * draws.normal(size=out.shape)).sum()
                 loss = term if loss is None else loss + term
             loss.backward()
         return ([out.data.copy() for out in outs] + [x.grad.copy()]
@@ -315,27 +310,23 @@ class TestGcnnEncoderProperties:
     @given(case=encoder_cases())
     def test_matches_reference(self, case):
         draws = np.random.default_rng(case["seed"])
-        previous = get_default_dtype()
-        set_default_dtype(np.dtype(case["dtype"]))
-        try:
-            factorizers = [
-                _factorizer(_random_proximity(n, draws), case["n_buckets"],
-                            case["rank"], case["blocks"],
-                            case["cluster_pooling"], seed=case["seed"] + i)
-                for i, n in enumerate(
-                    (case["n_dests"], case["n_origins"])[:case["sides"]])]
-            shape = (case["batch"], case["n_origins"], case["n_dests"])
-            tensors = draws.uniform(size=shape + (case["n_buckets"],))
-            tensors *= draws.uniform(size=shape + (1,)) < case["density"]
-            tensors[0, 0] = 0.0             # an all-empty origin slice
-            tensors[-1, :, -1] = 0.0        # an all-empty destination slice
-            if case["sides"] == 1:
-                tensors = tensors.reshape(-1, case["n_dests"],
-                                          case["n_buckets"])
-            tol = PARITY if case["dtype"] == "float64" else FLOAT32_PARITY
-            assert_encoder_parity(factorizers, tensors, case["seed"], tol)
-        finally:
-            set_default_dtype(previous)
+        factorizers = [
+            _factorizer(_random_proximity(n, draws), case["n_buckets"],
+                        case["rank"], case["blocks"],
+                        case["cluster_pooling"],
+                        seed=case["seed"] + i).astype(case["dtype"])
+            for i, n in enumerate(
+                (case["n_dests"], case["n_origins"])[:case["sides"]])]
+        shape = (case["batch"], case["n_origins"], case["n_dests"])
+        tensors = draws.uniform(size=shape + (case["n_buckets"],))
+        tensors *= draws.uniform(size=shape + (1,)) < case["density"]
+        tensors[0, 0] = 0.0             # an all-empty origin slice
+        tensors[-1, :, -1] = 0.0        # an all-empty destination slice
+        if case["sides"] == 1:
+            tensors = tensors.reshape(-1, case["n_dests"],
+                                      case["n_buckets"])
+        tol = PARITY if case["dtype"] == "float64" else FLOAT32_PARITY
+        assert_encoder_parity(factorizers, tensors, case["seed"], tol)
 
 
 class TestGruGates:

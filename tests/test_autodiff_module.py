@@ -166,16 +166,13 @@ class TestStateDict:
             net.load_state_dict(state)
 
     def test_load_preserves_float32_dtype(self, rng):
-        """A float32 model must stay float32 through a state-dict restore
-        (early stopping, ``load_model``), not be clobbered to float64."""
-        from repro.autodiff import set_default_dtype
-        set_default_dtype(np.float32)
-        try:
-            net = _Net(rng)
-            state = net.state_dict()
-            net.load_state_dict(state)
-        finally:
-            set_default_dtype(np.float64)
+        """A float32 model must stay float32 through an in-memory
+        state-dict restore (early stopping), not be clobbered to
+        float64."""
+        net = _Net(rng).astype(np.float32)
+        state = {name: value.astype(np.float64)
+                 for name, value in net.state_dict().items()}
+        net.load_state_dict(state)
         assert all(p.data.dtype == np.float32 for p in net.parameters())
 
     def test_load_preserves_float64_against_narrow_saved(self, net):

@@ -34,18 +34,14 @@ class TestFCTraining:
         assert not np.allclose(a, b)
 
     def test_training_in_float32_mode(self, windows, split):
-        import repro.autodiff as autodiff
-        autodiff.set_default_dtype(np.float32)
-        try:
-            rng = np.random.default_rng(0)
-            model = FCBaseline(12, 12, 7, rng, encoder_dim=6,
-                               hidden_dim=8)
-            adapter = NeuralForecaster(
-                "fc", model, plain_loss,
-                TrainConfig(epochs=1, batch_size=8, max_train_batches=3))
-            adapter.fit(windows, split, horizon=1)
-            pred = adapter.predict(windows, split.test[:2], 1)
-            assert np.isfinite(pred).all()
-            assert np.allclose(pred.sum(-1), 1.0, atol=1e-4)
-        finally:
-            autodiff.set_default_dtype(np.float64)
+        rng = np.random.default_rng(0)
+        model = FCBaseline(12, 12, 7, rng, encoder_dim=6,
+                           hidden_dim=8).astype(np.float32)
+        adapter = NeuralForecaster(
+            "fc", model, plain_loss,
+            TrainConfig(epochs=1, batch_size=8, max_train_batches=3))
+        adapter.fit(windows, split, horizon=1)
+        pred = adapter.predict(windows, split.test[:2], 1)
+        assert pred.dtype == np.float32
+        assert np.isfinite(pred).all()
+        assert np.allclose(pred.sum(-1), 1.0, atol=1e-4)

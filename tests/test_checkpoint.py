@@ -79,16 +79,54 @@ class TestOptimizerStateDict:
         assert np.array_equal(p1.data, p2.data)
 
     def test_float32_params_keep_float32_slots(self):
-        from repro.autodiff import set_default_dtype
-        set_default_dtype(np.float32)
-        try:
-            p = Parameter(np.zeros(2))
-            opt = Adam([p], lr=0.1)
-            opt.load_state_dict(opt.state_dict())
-        finally:
-            set_default_dtype(np.float64)
+        p = Parameter(np.zeros(2, dtype=np.float32))
+        opt = Adam([p], lr=0.1)
+        opt.load_state_dict(opt.state_dict())
         assert opt._m[0].dtype == np.float32
         assert opt._v[0].dtype == np.float32
+
+
+class TestCheckpointPrecision:
+    """Files on disk carry their precision; a loaded model takes it."""
+
+    def test_load_checkpoint_casts_model_to_file_dtype(self, tmp_path):
+        trained = _make_model().astype(np.float32)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, trained, epoch=0)
+        clone = _make_model(seed=99)
+        assert clone.dtype == np.float64
+        load_checkpoint(path, model=clone)
+        assert clone.dtype == np.float32
+        for name, value in trained.state_dict().items():
+            restored = clone.state_dict()[name]
+            assert restored.dtype == np.float32
+            assert np.array_equal(restored, value)
+
+    def test_load_model_casts_model_to_file_dtype(self, tmp_path):
+        from repro.persistence import save_model
+        trained = _make_model().astype(np.float32)
+        path = tmp_path / "weights.npz"
+        save_model(trained, path)
+        clone = load_model(_make_model(seed=99), path)
+        assert clone.dtype == np.float32
+        assert all(p.data.dtype == np.float32 for p in clone.parameters())
+        back = _make_model(seed=3)
+        save_model(back, path)
+        assert load_model(clone, path).dtype == np.float64
+
+    def test_resume_must_not_change_precision(self, tmp_path):
+        trained = _make_model().astype(np.float32)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, trained, optimizer=Adam(trained.parameters()),
+                        epoch=0)
+        clone = _make_model(seed=99)
+        before = clone.state_dict()
+        with pytest.raises(ValueError, match="float32.*float64"):
+            load_checkpoint(path, model=clone,
+                            optimizer=Adam(clone.parameters()))
+        assert clone.dtype == np.float64        # nothing was loaded
+        for name, value in clone.state_dict().items():
+            assert np.array_equal(value, before[name])
 
 
 class TestStepDecayStateDict:

@@ -100,6 +100,27 @@ class TestTrainer:
         trainer.predict(windows, split.test[:4], horizon=2)
         assert not small_model.training
 
+    @pytest.mark.parametrize("method", ["evaluate", "predict"])
+    def test_raising_forward_restores_training_mode(self, windows, split,
+                                                    small_model, method):
+        """A caller who catches a forward error and keeps training must
+        not be left with dropout silently off."""
+        trainer = Trainer(small_model, _loss,
+                          TrainConfig(epochs=1, batch_size=8,
+                                      max_train_batches=1))
+
+        def broken(history, horizon):
+            raise RuntimeError("forward failed")
+
+        small_model.forward = broken
+        with pytest.raises(RuntimeError, match="forward failed"):
+            if method == "evaluate":
+                trainer.evaluate(windows, split.val, horizon=2,
+                                 max_batches=1)
+            else:
+                trainer.predict(windows, split.test[:4], horizon=2)
+        assert small_model.training
+
 
 class _DivergingModel(Module):
     """Forecaster whose predictions go NaN — a diverged training run."""

@@ -11,7 +11,6 @@ would silently break checkpoint determinism.
 import numpy as np
 import pytest
 
-import repro.autodiff as autodiff
 from repro.autodiff import (Adam, InferenceEngine, ReplayEngine, Tensor,
                             detect_anomaly, ops, profile)
 from repro.core import (AdvancedFramework, BasicFramework, TrainConfig,
@@ -51,9 +50,10 @@ def _af_parts(dropout=0.2):
     return model, loss_fn
 
 
-def _train(parts_fn, engine_mode, steps=STEPS):
+def _train(parts_fn, engine_mode, steps=STEPS, dtype=np.float64):
     """Losses, final grads, and final weights of ``steps`` train steps."""
     model, loss_fn = parts_fn()
+    model.astype(dtype)
     history, truth, mask = _batch(np.random.default_rng(0))
     if engine_mode == "replay":
         optimizer = Adam(model.parameters(), flat=True)
@@ -108,12 +108,9 @@ class TestBitForBitParity:
         math runs in float64 (e.g. the AF Dirichlet Laplacian) must be
         rounded back to the captured dtype, and dropout masks must not
         upcast gradients — both bugs made float32 replay drift."""
-        autodiff.set_default_dtype(np.float32)
-        try:
-            eager = _train(parts_fn, "eager")
-            replay = _train(parts_fn, "replay")
-        finally:
-            autodiff.set_default_dtype(np.float64)
+        eager = _train(parts_fn, "eager", dtype=np.float32)
+        replay = _train(parts_fn, "replay", dtype=np.float32)
+        assert all(w.dtype == np.float32 for w in eager[2].values())
         assert eager[0] == replay[0]
         for name in eager[2]:
             assert np.array_equal(eager[2][name], replay[2][name]), name
@@ -557,16 +554,11 @@ class TestDropoutDtype:
         """Regression: the dropout mask was float64, silently upcasting
         activations and gradients under float32 training (and breaking
         flat-Adam bit parity with the loop)."""
-        autodiff.set_default_dtype(np.float32)
-        try:
-            x = Tensor(np.ones((16, 16), dtype=np.float32),
-                       requires_grad=True)
-            out = ops.dropout(x, 0.5, np.random.default_rng(0))
-            out.sum().backward()
-            assert out.data.dtype == np.float32
-            assert x.grad.dtype == np.float32
-        finally:
-            autodiff.set_default_dtype(np.float64)
+        x = Tensor(np.ones((16, 16), dtype=np.float32), requires_grad=True)
+        out = ops.dropout(x, 0.5, np.random.default_rng(0))
+        out.sum().backward()
+        assert out.data.dtype == np.float32
+        assert x.grad.dtype == np.float32
 
 
 class TestInferenceEngine:

@@ -30,8 +30,19 @@ class TestPublicSurface:
     def test_no_accidental_float32_default(self):
         import numpy as np
 
-        from repro.autodiff import get_default_dtype
-        assert get_default_dtype() is np.float64
+        from repro import AdvancedFramework, BasicFramework, FCBaseline
+        rng = np.random.default_rng(0)
+        w = rng.uniform(0.1, 1.0, size=(4, 4))
+        models = [
+            BasicFramework(4, 4, 3, rng, rank=2, encoder_dim=4,
+                           hidden_dim=5),
+            AdvancedFramework((w + w.T) / 2, (w + w.T) / 2, 3, rng,
+                              rank=2, rnn_hidden=4),
+            FCBaseline(4, 4, 3, rng, encoder_dim=4, hidden_dim=5)]
+        for model in models:
+            assert model.dtype == np.float64
+            assert all(p.data.dtype == np.float64
+                       for p in model.parameters())
 
     def test_quickstart_snippet_objects_exist(self):
         """The README quickstart names must exist with the documented
