@@ -8,7 +8,9 @@ Two sections at smoke scale (see docs/SHARDING.md), results recorded in
    under sharded execution (``mode="exact"``) must be *bit-identical*
    to the dense path: same per-epoch train/val losses, same final
    weights, same dropout RNG states.  Any divergence means the sharded
-   stage-1 no longer computes what the paper's model computes.
+   stage-1 no longer computes what the paper's model computes.  The
+   run must also hold repeated history tensors (overlapping windows),
+   so the grouping that encodes each distinct tensor once is covered.
 2. **Metro** — a 500-region city must actually work at metro scale:
 
    * block-sparse trip aggregation is bit-identical to the dense
@@ -132,12 +134,19 @@ def check_parity():
         failures.append("exact-mode final weights differ from dense")
     if not rng_equal:
         failures.append("exact-mode dropout RNG states differ from dense")
+    # Overlapping windows repeat history tensors; both paths encode each
+    # distinct one once, and the gate only covers that if some repeat.
+    repeated = execution.repeated_tensors["r"]
+    if repeated == 0:
+        failures.append("parity batches held no repeated tensors, so the "
+                        "repeated-tensor grouping went unchecked")
     section = {
         "n_regions": PARITY_REGIONS, "n_shards": PARITY_SHARDS,
         "epochs": len(dense_result.val_losses),
         "losses_bit_identical": losses_equal,
         "weights_bit_identical": weights_equal,
         "rng_bit_identical": rng_equal,
+        "repeated_tensors": repeated,
         "train_losses": dense_result.train_losses,
         "units": len(execution.data_parallel_units()),
     }

@@ -19,7 +19,7 @@ runs when the op is built (eager and capture), not on replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -775,12 +775,88 @@ class GCNNEncoder:
             (c_in,) + grad.shape[1:-1] + (n,))
 
 
+class SliceGroups(NamedTuple):
+    """The byte-identical entries of an array's axis 1.
+
+    ``first`` holds each group's first entry, ascending; ``inverse``
+    maps every entry to its group, so ``first[inverse]`` is each
+    entry's representative.
+    """
+
+    first: np.ndarray
+    inverse: np.ndarray
+
+    def gather(self, out: np.ndarray) -> np.ndarray:
+        """Per-group rows (axis 1) back to one row per entry."""
+        return np.take(out, self.inverse, axis=1)
+
+    def sum_repeats(self, grad: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`gather`: per-entry cotangents (axis 1)
+        summed per group — the representative's first, then its
+        repeats in ascending entry order."""
+        summed = np.take(grad, self.first, axis=1)
+        repeats = self.first[self.inverse] != np.arange(len(self.inverse))
+        for entry in np.flatnonzero(repeats):
+            summed[:, self.inverse[entry]] += grad[:, entry]
+        return summed
+
+
+def _projection_hash(bits: np.ndarray) -> np.ndarray:
+    """One key per row of ``bits (B, L)`` (unsigned-integer bit
+    patterns): the row's wrap-around sum.  Integer addition is exact in
+    any order, so equal rows always share a key; unequal rows that do
+    (a permutation of the same values) are split by the byte comparison
+    in :func:`group_slices`."""
+    return np.add.reduce(bits, axis=1)
+
+
+def group_slices(x: np.ndarray) -> Optional[SliceGroups]:
+    """Group the entries of ``x``'s axis 1 by byte-identical content.
+
+    Returns ``None`` when no entry repeats.  Keys from
+    :func:`_projection_hash` only propose a merge; every merge is
+    byte-compared, so a key collision never joins two different
+    entries (``-0.0`` and ``+0.0`` stay apart).
+    """
+    count = x.shape[1]
+    if count < 2:
+        return None
+    rows = np.moveaxis(x, 1, 0)
+    # Each entry's elements in memory order: for a transpose of a
+    # contiguous batch the flattening below is a view, not a copy.
+    order = sorted(range(1, rows.ndim), key=lambda a: -abs(rows.strides[a]))
+    rows = rows.transpose((0, *order)).reshape(count, -1)
+    bits = rows.view(f"u{rows.itemsize}")
+    first, inverse = [], np.empty(count, dtype=np.intp)
+    buckets: dict = {}
+    for entry, key in enumerate(_projection_hash(bits).tolist()):
+        bucket = buckets.setdefault(key, [])
+        for group in bucket:
+            if np.array_equal(bits[first[group]], bits[entry]):
+                break
+        else:
+            group = len(first)
+            first.append(entry)
+            bucket.append(group)
+        inverse[entry] = group
+    if len(first) == count:
+        return None
+    return SliceGroups(np.asarray(first, dtype=np.intp), inverse)
+
+
 def gcnn_encoder(x: Tensor, encoder: GCNNEncoder) -> Tensor:
     """A whole stage-1 encoder side as one autodiff node.
 
     ``x (C, *rows, n)`` is node-last (channels, slices, graph nodes);
     the output is ``(K, *rows, R)``.  Forward and backward are
     :meth:`GCNNEncoder.op` / :meth:`GCNNEncoder.adj_op`.
+
+    Entries of axis 1 that are byte-identical — the tensors that
+    overlapping windows share — are encoded once (:func:`group_slices`,
+    recomputed on every run so a replay follows its batch): ``op`` runs
+    on the distinct entries, its output is gathered back, and the
+    backward sums each group's cotangents before ``adj_op``.  An input
+    that needs its own gradient is not grouped.
     """
     x = _ensure_tensor(x)
     if x.ndim < 3 or x.shape[0] != encoder.in_channels \
@@ -789,14 +865,20 @@ def gcnn_encoder(x: Tensor, encoder: GCNNEncoder) -> Tensor:
             f"gcnn_encoder expects ({encoder.in_channels}, ..., "
             f"{encoder.n_nodes}) node-last input, got shape {x.shape}")
     params = encoder.params
-    cache = None
+    cache = groups = None
 
     def run() -> np.ndarray:
-        nonlocal cache
-        out_data, cache = encoder.op(x.data)
-        return out_data
+        nonlocal cache, groups
+        groups = None if x.requires_grad else group_slices(x.data)
+        if groups is None:
+            out_data, cache = encoder.op(x.data)
+            return out_data
+        out_data, cache = encoder.op(np.take(x.data, groups.first, axis=1))
+        return groups.gather(out_data)
 
     def backward(grad: np.ndarray) -> None:
+        if groups is not None:
+            grad = groups.sum_repeats(grad)
         grads, dx = encoder.adj_op(grad, cache,
                                    input_grad=x.requires_grad)
         for param, g in zip(params, grads):

@@ -200,7 +200,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "name", "_grad_borrowed", "_topo_cache")
+                 "name", "_grad_borrowed", "_topo_cache", "__weakref__")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False,
                  name: Optional[str] = None):

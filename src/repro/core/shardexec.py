@@ -22,9 +22,13 @@ the backward weight reduction, which motivates the two modes:
 ``exact``
     Per-shard forward, but the per-stage caches are scattered into
     full dense-order buffers and the backward runs the dense math
-    (single full-size GEMMs per parameter).  Bit-identical losses,
-    gradients, weights and RNG versus the dense path — the parity mode
-    the benchmark gate verifies — at the price of dense-sized caches.
+    (single full-size GEMMs per parameter).  Like the dense encoder
+    (``ops.gcnn_encoder``), it groups the batch's byte-identical
+    tensors first and shards only the distinct ones, summing repeats'
+    output gradients the same way.  Bit-identical losses, gradients,
+    weights and RNG versus the dense path — the parity mode the
+    benchmark gate verifies — at the price of dense-sized caches (one
+    row per distinct tensor).
 
 ``blocked``
     Per-shard backward accumulating into per-parameter buffers in
@@ -50,6 +54,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..autodiff import ops
 from ..autodiff.tensor import Tensor
 from ..graph.sharding import Shard, ShardPlan
 
@@ -184,6 +189,9 @@ class ShardedExecution:
         self.memory_budget_bytes = memory_budget_bytes
         self.shard_peaks: Dict[str, List[int]] = {"r": [], "c": []}
         self.last_occupancy: Dict[str, dict] = {}
+        #: Tensors ``exact`` mode found repeated (and encoded once) per
+        #: side, summed over every forward so far.
+        self.repeated_tensors: Dict[str, int] = {"r": 0, "c": 0}
         self._profile_pending = True
         self._profiling = False
         self._started_tracing = False
@@ -313,7 +321,7 @@ class ShardedExecution:
         if self.mode == "exact":
             run = self._exact_run(x, encoder, side, batch, shards, n_side,
                                   state)
-            backward = self._exact_backward(x, encoder, state)
+            backward = self._exact_backward(x, encoder, n_side, state)
         else:
             run = self._blocked_run(x, encoder, side, batch, shards,
                                     n_side, state)
@@ -321,15 +329,24 @@ class ShardedExecution:
         return Tensor._op(run, (x,) + encoder.params, backward)
 
     # ------------------------------------------------------------------
-    # exact mode: per-shard forward, dense-order caches, dense backward
+    # exact mode: per-shard forward over the distinct tensors,
+    # dense-order caches, dense backward
     # ------------------------------------------------------------------
     def _exact_run(self, x, encoder, side, batch, shards, n_side, state):
         def run() -> np.ndarray:
-            x3 = x.data
+            # The dense path's grouping, over whole tensors: only the
+            # distinct ones are sharded, so caches are distinct-sized.
+            x4 = x.data.reshape(x.shape[0], batch, n_side, -1)
+            groups = None if x.requires_grad else ops.group_slices(x4)
+            if groups is not None:
+                x4 = np.take(x4, groups.first, axis=1)
+            distinct = x4.shape[1]
+            self.repeated_tensors[side] += batch - distinct
+            x3 = x4.reshape(x4.shape[0], distinct * n_side, -1)
             total = x3.shape[1]
             cache_full = out_full = None
             for shard in shards:
-                rows = self._shard_rows(shard, batch, n_side)
+                rows = self._shard_rows(shard, distinct, n_side)
                 out, cache = self._measure(
                     side, shard.index,
                     lambda rows=rows: encoder.op(x3[:, rows]))
@@ -345,11 +362,21 @@ class ShardedExecution:
                     full[..., rows, :] = chunk
                 out_full[:, rows] = out
             state["cache"] = cache_full
-            return out_full
+            state["groups"] = groups
+            if groups is None:
+                return out_full
+            k, _, rank = out_full.shape
+            return groups.gather(out_full.reshape(k, distinct, n_side, rank)
+                                 ).reshape(k, batch * n_side, rank)
         return run
 
-    def _exact_backward(self, x, encoder, state):
+    def _exact_backward(self, x, encoder, n_side, state):
         def backward(grad: np.ndarray) -> None:
+            groups = state.pop("groups")
+            if groups is not None:
+                k, _, rank = grad.shape
+                grad = groups.sum_repeats(
+                    grad.reshape(k, -1, n_side, rank)).reshape(k, -1, rank)
             # The dense backward on the reassembled caches.
             dx = _backward_into(encoder, grad, state.pop("cache"),
                                 _GradSink(direct=True),

@@ -449,9 +449,13 @@ class Trainer:
             for b, (histories, targets, masks) in enumerate(batches):
                 if max_batches is not None and b >= max_batches:
                     break
-                prediction, _, _ = self.model(histories, horizon)
+                # Only the prediction is kept, and only until its loss
+                # is read: its graph holds both encoders' caches, which
+                # must not survive into the next batch's forward.
+                prediction = self.model(histories, horizon)[0]
                 losses.append(masked_frobenius(prediction, targets,
                                                masks).item())
+                del prediction
         finally:
             if was_training:
                 self.model.train()
@@ -467,8 +471,7 @@ class Trainer:
         try:
             for histories, _, _ in dataset.batches(indices,
                                                    self.config.batch_size):
-                prediction, _, _ = self.model(histories, horizon)
-                outputs.append(prediction.numpy())
+                outputs.append(self.model(histories, horizon)[0].numpy())
         finally:
             if was_training:
                 self.model.train()

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import AdvancedFramework, GCNNBlock, af_loss
+from repro.autodiff import ops
+from repro.core import (AdvancedFramework, GCNNBlock, TrainConfig, Trainer,
+                        af_loss)
 from repro.graph import build_proximity
 
 
@@ -84,3 +86,51 @@ class TestAdvancedFramework:
         a = model(history, horizon=1)[0].numpy()
         b = model(history, horizon=1)[0].numpy()
         assert np.allclose(a, b)
+
+
+class TestRepeatedTensorGrouping:
+    """Stage 1 encodes each distinct history tensor once per batch.
+    Switching the grouping off (every tensor its own group) must give
+    the same training run up to the reordered gradient sum of repeats:
+    loss curves within 1e-12 relative, final weights within
+    ``rtol=1e-10`` (relative to each array's largest entry)."""
+
+    def _fit(self, windows, split, proximity, n_buckets):
+        model = AdvancedFramework(proximity, proximity, n_buckets,
+                                  np.random.default_rng(4), rank=2,
+                                  rnn_hidden=6)
+        trainer = Trainer(
+            model,
+            lambda p, t, m, r, c: af_loss(p, t, m, r, c, proximity,
+                                          proximity),
+            TrainConfig(epochs=2, batch_size=8, max_train_batches=3,
+                        max_val_batches=2, patience=10, seed=5))
+        result = trainer.fit(windows, split, horizon=2)
+        return result, model.state_dict()
+
+    def test_fit_matches_the_ungrouped_fit(self, windows, split, sequence,
+                                           proximity, monkeypatch):
+        found = []
+        group = ops.group_slices
+
+        def counting(x):
+            groups = group(x)
+            found.append(0 if groups is None
+                         else x.shape[1] - len(groups.first))
+            return groups
+
+        monkeypatch.setattr(ops, "group_slices", counting)
+        grouped, grouped_state = self._fit(windows, split, proximity,
+                                           sequence.n_buckets)
+        assert sum(found) > 0           # the run really shared tensors
+        monkeypatch.setattr(ops, "group_slices", lambda x: None)
+        plain, plain_state = self._fit(windows, split, proximity,
+                                       sequence.n_buckets)
+        np.testing.assert_allclose(grouped.train_losses, plain.train_losses,
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(grouped.val_losses, plain.val_losses,
+                                   rtol=1e-12, atol=0)
+        for name, weights in plain_state.items():
+            np.testing.assert_allclose(
+                grouped_state[name], weights, rtol=1e-10,
+                atol=1e-10 * float(np.abs(weights).max()), err_msg=name)

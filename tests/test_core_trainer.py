@@ -1,12 +1,14 @@
 """Tests for the training loop."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.autodiff import Module, Parameter, Tensor
 from repro.baselines import FCBaseline, plain_loss
-from repro.core import (BasicFramework, TrainConfig, Trainer, bf_loss,
-                        practical_bf)
+from repro.core import (AdvancedFramework, BasicFramework, TrainConfig,
+                        Trainer, bf_loss, practical_bf)
 
 
 @pytest.fixture
@@ -120,6 +122,41 @@ class TestTrainer:
             else:
                 trainer.predict(windows, split.test[:4], horizon=2)
         assert small_model.training
+
+
+    @pytest.mark.parametrize("method", ["evaluate", "predict"])
+    def test_no_graph_survives_into_the_next_batch(self, windows, split,
+                                                   sequence, proximity,
+                                                   monkeypatch, method):
+        """Every Tensor a batch's forward and loss built is freed before
+        the next batch's forward starts: a surviving graph holds both
+        stage-1 encoders' caches (one batch of activations too many)."""
+        model = AdvancedFramework(proximity, proximity, sequence.n_buckets,
+                                  np.random.default_rng(0), rank=2,
+                                  rnn_hidden=4)
+        trainer = Trainer(model, _loss, TrainConfig(batch_size=4))
+        built, leaks, forwards = [], [], [0]
+        make_op = Tensor._op
+
+        def recording_op(run, parents, backward):
+            out = make_op(run, parents, backward)
+            built.append(weakref.ref(out))
+            return out
+
+        def spy(history, horizon):
+            leaks.append(sum(ref() is not None for ref in built))
+            built.clear()
+            forwards[0] += 1
+            return type(model).forward(model, history, horizon)
+
+        monkeypatch.setattr(Tensor, "_op", staticmethod(recording_op))
+        model.forward = spy
+        if method == "evaluate":
+            trainer.evaluate(windows, split.val, horizon=2, max_batches=3)
+        else:
+            trainer.predict(windows, split.val[:12], horizon=2)
+        assert forwards[0] == 3
+        assert leaks == [0, 0, 0]
 
 
 class _DivergingModel(Module):

@@ -655,3 +655,84 @@ class TestInferenceEngine:
         stats = engine.stats()
         assert stats["eager_steps"] == 1
         assert stats["captures"] == 0
+
+
+def _windows_batch(rng, starts, s=3, n=8, k=7, horizon=2):
+    """A batch of sliding windows over one random sequence, window ``b``
+    starting at ``starts[b]`` — overlapping or equal starts repeat
+    tensors exactly as the trainer's batches do."""
+    sequence = rng.uniform(size=(max(starts) + s, n, n, k))
+    history = np.stack([sequence[t:t + s] for t in starts])
+    truth = rng.uniform(size=(len(starts), horizon, n, n, k))
+    mask = (rng.uniform(size=(len(starts), horizon, n, n)) < 0.4)
+    return history, truth, mask.astype(float)
+
+
+#: Four batches of one shape whose repeated-tensor patterns all differ:
+#: sliding overlap, none, two pairs of equal windows, a shifted overlap.
+REPEAT_PATTERNS = ([0, 1, 2, 3], None, [0, 0, 4, 4], [2, 0, 3, 1])
+
+
+def _pattern_batches():
+    rng = np.random.default_rng(5)
+    return [_batch(rng) if starts is None else _windows_batch(rng, starts)
+            for starts in REPEAT_PATTERNS]
+
+
+class TestRepeatPatterns:
+    """Stage 1 groups repeated tensors inside its thunk, so a replay
+    follows each batch's own pattern, not the captured one."""
+
+    def test_patterns_really_differ(self):
+        patterns = []
+        for history, _, _ in _pattern_batches():
+            x = history.reshape((-1,) + history.shape[2:]).transpose(
+                (3, 0, 1, 2))
+            groups = ops.group_slices(x)
+            patterns.append(None if groups is None
+                            else groups.inverse.tolist())
+        assert patterns[1] is None
+        assert len({str(p) for p in patterns}) == len(patterns)
+
+    def test_training_steps_equal_eager(self):
+        runs = []
+        for mode in ("eager", "replay"):
+            model, loss_fn = _af_parts()
+            optimizer = Adam(model.parameters(), flat=mode == "replay")
+            engine = ReplayEngine(model, loss_fn) if mode == "replay" \
+                else None
+            losses, grads = [], []
+            for history, truth, mask in _pattern_batches():
+                if engine is not None:
+                    loss = engine.forward(history, truth, mask, 2)
+                    optimizer.zero_grad()
+                    engine.backward(loss)
+                else:
+                    prediction, r, c = model(history, 2)
+                    loss = loss_fn(prediction, truth, mask, r, c)
+                    optimizer.zero_grad()
+                    loss.backward()
+                losses.append(float(loss.data))
+                grads.append([p.grad.copy() for p in optimizer.parameters])
+                optimizer.step()
+            runs.append((losses, grads, model.state_dict(), engine))
+        (eager_losses, eager_grads, eager_state, _), \
+            (replay_losses, replay_grads, replay_state, engine) = runs
+        assert engine.stats()["captures"] == 1
+        assert engine.stats()["replays"] == len(REPEAT_PATTERNS) - 1
+        assert eager_losses == replay_losses
+        for step_eager, step_replay in zip(eager_grads, replay_grads):
+            for a, b in zip(step_eager, step_replay):
+                assert np.array_equal(a, b)
+        for name in eager_state:
+            assert np.array_equal(eager_state[name], replay_state[name])
+
+    def test_inference_equals_eager(self):
+        model, _ = _af_parts()
+        engine = InferenceEngine(model)
+        for history, _, _ in _pattern_batches():
+            served = engine.predict(history, 2)
+            model.eval()
+            expected = model(history, 2)[0].data
+            np.testing.assert_array_equal(served, expected)
+        assert engine.stats()["replays"] == len(REPEAT_PATTERNS) - 1

@@ -145,6 +145,26 @@ class TestExactMode:
             np.testing.assert_array_equal(sharded_grads[name], grad,
                                           err_msg=name)
 
+    def test_repeated_tensors_bit_identical_to_dense(self, plan, proximity,
+                                                     sequence, windows):
+        """Overlapping and duplicated windows: 12 history tensors, 6
+        distinct.  Exact mode shards only the distinct ones, as the
+        dense encoder encodes them, and stays bitwise equal."""
+        batch = next(iter(windows.batches(np.array([0, 1, 1, 3]), 4)))
+        dense_loss, dense_grads = _train_step(
+            _model(proximity, sequence.n_buckets), proximity, batch,
+            horizon=2)
+        execution = ShardedExecution(plan, mode="exact")
+        sharded_loss, sharded_grads = _train_step(
+            _model(proximity, sequence.n_buckets), proximity, batch,
+            horizon=2, sharding=execution)
+        assert execution.repeated_tensors == {"r": 6, "c": 6}
+        assert sharded_loss == dense_loss
+        assert set(sharded_grads) == set(dense_grads)
+        for name, grad in dense_grads.items():
+            np.testing.assert_array_equal(sharded_grads[name], grad,
+                                          err_msg=name)
+
     def test_short_fit_bit_identical_to_dense(self, plan, proximity,
                                               sequence, windows, split):
         config = dict(epochs=1, batch_size=4, max_train_batches=2,
