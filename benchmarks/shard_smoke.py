@@ -5,21 +5,21 @@ Two sections at smoke scale (see docs/SHARDING.md), results recorded in
 ``BENCH_SHARD.json`` at the repo root:
 
 1. **Parity** — at a dense-feasible city size, a short AF training run
-   under sharded execution (``mode="exact"``) must be *bit-identical*
-   to the dense path: same per-epoch train/val losses, same final
-   weights, same dropout RNG states.  Any divergence means the sharded
-   stage-1 no longer computes what the paper's model computes.  The
-   run must also hold repeated history tensors (overlapping windows),
-   so the grouping that encodes each distinct tensor once is covered.
+   under sharded execution must be *bit-identical* to the dense path:
+   same per-epoch train/val losses, same final weights, same dropout
+   RNG states.  Any divergence means the sharded stage-1 no longer
+   computes what the paper's model computes.  The run must also hold
+   repeated slices (overlapping windows, empty OD slices), so the
+   grouping that encodes each distinct slice once is covered.
 2. **Metro** — a 500-region city must actually work at metro scale:
 
    * block-sparse trip aggregation is bit-identical to the dense
      builder (``build_block_sparse_od_tensors`` vs ``build_od_tensors``),
-   * a blocked-mode forward is bit-identical to the dense forward,
-   * a smoke training epoch through the sharded path completes with
-     every shard under ``BUDGET_BYTES`` of incremental working set
-     (tracemalloc-enforced) and in no more wall-clock than the dense
-     epoch (the zero-slice collapse should make it *much* faster),
+   * a sharded forward is bit-identical to the dense forward,
+   * a smoke training epoch through the sharded path ends at the dense
+     epoch's train loss, bit for bit, with each side's stage-1 forward
+     under ``BUDGET_BYTES`` of incremental working set
+     (tracemalloc-enforced); both epochs' wall-clock times are reported,
    * a forecast is served through the sharded model.
 
 Exits non-zero on any failure so the benchmark sweep fails loudly.
@@ -37,6 +37,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.autodiff import ops
 from repro.core import (AdvancedFramework, ShardedExecution, TrainConfig,
                         Trainer, af_loss)
 from repro.core.trainer import _module_rngs
@@ -53,7 +54,7 @@ PARITY_SHARDS = 6
 METRO_REGIONS = 500
 METRO_INTERVALS = 10
 METRO_SHARDS = 16
-BUDGET_BYTES = 64 * 1024 * 1024     # per-shard incremental working set
+BUDGET_BYTES = 64 * 1024 * 1024     # per-side stage-1 working set
 TRAIN_BATCHES = 3
 REPORT = Path(__file__).parent.parent / "BENCH_SHARD.json"
 
@@ -91,8 +92,23 @@ def _states_equal(a: dict, b: dict) -> bool:
         all(np.array_equal(a[name], b[name]) for name in a)
 
 
+def _repeated_slices(windows, split, config) -> int:
+    """Origin slices the first epoch's batches repeat (the slices the
+    encoder's grouping encodes once)."""
+    rng = np.random.default_rng(config.seed)
+    repeated = 0
+    batches = windows.batches(split.train, config.batch_size, rng=rng)
+    for _, (histories, _, _) in zip(range(config.max_train_batches),
+                                    batches):
+        tensors = histories.reshape((-1,) + histories.shape[2:])
+        groups = ops.group_slices(tensors.transpose((3, 0, 1, 2)))
+        if groups is not None:
+            repeated += groups.inverse.size - groups.first.size
+    return repeated
+
+
 def check_parity():
-    """Dense vs sharded-exact short fits: bit-identical end to end."""
+    """Dense vs sharded short fits: bit-identical end to end."""
     dataset = metro_dataset(n_regions=PARITY_REGIONS,
                             n_intervals=PARITY_INTERVALS,
                             trips_per_interval=800.0, seed=7)
@@ -108,7 +124,7 @@ def check_parity():
 
     plan = plan_shards(weights, n_shards=PARITY_SHARDS,
                        hops=chebyshev_hops([3, 3]))
-    execution = ShardedExecution(plan, mode="exact")
+    execution = ShardedExecution(plan)
     sharded_model = _model(weights, sequence.n_buckets)
     _, sharded_result, _ = _fit(sharded_model, weights, split, windows,
                                 _config(), sharding=execution)
@@ -127,28 +143,28 @@ def check_parity():
     failures = []
     if not losses_equal:
         failures.append(
-            f"exact-mode loss curves diverged from dense "
+            f"sharded loss curves diverged from dense "
             f"(train {dense_result.train_losses} vs "
             f"{sharded_result.train_losses})")
     if not weights_equal:
-        failures.append("exact-mode final weights differ from dense")
+        failures.append("sharded final weights differ from dense")
     if not rng_equal:
-        failures.append("exact-mode dropout RNG states differ from dense")
-    # Overlapping windows repeat history tensors; both paths encode each
-    # distinct one once, and the gate only covers that if some repeat.
-    repeated = execution.repeated_tensors["r"]
+        failures.append("sharded dropout RNG states differ from dense")
+    # Overlapping windows and empty OD slices repeat slices; both paths
+    # encode each distinct one once, and the gate only covers that if
+    # some repeat.
+    repeated = _repeated_slices(windows, split, _config())
     if repeated == 0:
-        failures.append("parity batches held no repeated tensors, so the "
-                        "repeated-tensor grouping went unchecked")
+        failures.append("parity batches held no repeated slices, so the "
+                        "repeated-slice grouping went unchecked")
     section = {
         "n_regions": PARITY_REGIONS, "n_shards": PARITY_SHARDS,
         "epochs": len(dense_result.val_losses),
         "losses_bit_identical": losses_equal,
         "weights_bit_identical": weights_equal,
         "rng_bit_identical": rng_equal,
-        "repeated_tensors": repeated,
+        "repeated_slices": repeated,
         "train_losses": dense_result.train_losses,
-        "units": len(execution.data_parallel_units()),
     }
     return section, failures
 
@@ -181,15 +197,14 @@ def check_metro():
     sparse_windows = BlockSparseWindowDataset(sparse, s=S, h=H)
     split = chronological_split(dense_windows)
 
-    # Forward (inference) parity and wall-clock: blocked vs dense.
+    # Forward (inference) parity and wall-clock: sharded vs dense.
     model = _model(weights, dense_seq.n_buckets)
     model.eval()
     histories = sparse_windows.history(0)[None]       # (1, S, N, N', K)
     start = time.perf_counter()
     dense_pred, _, _ = model(histories, H)
     dense_forward_seconds = time.perf_counter() - start
-    execution = ShardedExecution(plan, mode="blocked",
-                                 memory_budget_bytes=BUDGET_BYTES)
+    execution = ShardedExecution(plan, memory_budget_bytes=BUDGET_BYTES)
     model.set_sharding(execution)
     sharded_pred, _, _ = model(histories, H)          # profiled forward
     start = time.perf_counter()
@@ -199,30 +214,31 @@ def check_metro():
                                    dense_pred.numpy())
     if not forward_exact:
         failures.append(
-            f"blocked forward diverged from dense (max abs diff "
+            f"sharded forward diverged from dense (max abs diff "
             f"{np.abs(sharded_pred.numpy() - dense_pred.numpy()).max():.3e})")
 
-    # Smoke epoch: dense vs sharded wall-clock, per-shard budget held.
+    # Smoke epoch: the sharded epoch trains exactly as the dense one,
+    # with the stage-1 budget held; both wall-clock times reported.
     epoch_config = dict(epochs=1, batch_size=1, max_val_batches=1,
                         patience=1)
-    dense_trainer, _, dense_fit_seconds = _fit(
+    _, dense_result, dense_fit_seconds = _fit(
         _model(weights, dense_seq.n_buckets), weights, split,
         dense_windows, _config(**epoch_config))
-    train_exec = ShardedExecution(plan, mode="blocked",
-                                  memory_budget_bytes=BUDGET_BYTES)
+    train_exec = ShardedExecution(plan, memory_budget_bytes=BUDGET_BYTES)
     sharded_trainer, sharded_result, sharded_fit_seconds = _fit(
         _model(weights, dense_seq.n_buckets), weights, split,
         sparse_windows, _config(**epoch_config), sharding=train_exec)
     peak = train_exec.max_shard_peak_bytes
     if not np.isfinite(sharded_result.train_losses[-1]):
         failures.append("sharded smoke epoch diverged")
-    if sharded_fit_seconds > dense_fit_seconds:
+    losses_equal = sharded_result.train_losses == dense_result.train_losses
+    if not losses_equal:
         failures.append(
-            f"sharded epoch slower than dense ({sharded_fit_seconds:.1f}s "
-            f"vs {dense_fit_seconds:.1f}s)")
+            f"sharded epoch train loss {sharded_result.train_losses} "
+            f"differs from dense {dense_result.train_losses}")
     if peak <= 0 or peak > BUDGET_BYTES:
         failures.append(
-            f"per-shard peak {peak} bytes outside (0, {BUDGET_BYTES}]")
+            f"stage-1 peak {peak} bytes outside (0, {BUDGET_BYTES}]")
 
     # Serve one forecast through the fitted sharded model.
     start = time.perf_counter()
@@ -246,12 +262,12 @@ def check_metro():
         },
         "epoch": {
             "train_batches": TRAIN_BATCHES,
+            "train_loss_bit_identical": losses_equal,
             "dense_seconds": dense_fit_seconds,
             "sharded_seconds": sharded_fit_seconds,
             "speedup": dense_fit_seconds / sharded_fit_seconds,
             "budget_bytes": BUDGET_BYTES,
             "max_shard_peak_bytes": peak,
-            "occupancy": train_exec.last_occupancy,
         },
         "serve_seconds": serve_seconds,
     }
@@ -272,12 +288,11 @@ def main() -> int:
     if failures:
         print(f"shard smoke: FAIL ({'; '.join(failures)})")
         return 1
-    print(f"shard smoke: OK (exact mode bit-identical over "
+    print(f"shard smoke: OK (sharded bit-identical over "
           f"{parity['epochs']} epochs at {PARITY_REGIONS} regions; "
-          f"{METRO_REGIONS}-region epoch "
-          f"{metro['epoch']['speedup']:.1f}x faster sharded "
-          f"({metro['epoch']['sharded_seconds']:.1f}s vs "
-          f"{metro['epoch']['dense_seconds']:.1f}s), max shard peak "
+          f"{METRO_REGIONS}-region forward and epoch bit-identical, "
+          f"epoch {metro['epoch']['sharded_seconds']:.1f}s sharded vs "
+          f"{metro['epoch']['dense_seconds']:.1f}s dense, stage-1 peak "
           f"{metro['epoch']['max_shard_peak_bytes'] / 2**20:.1f} MiB "
           f"of {BUDGET_BYTES / 2**20:.0f} MiB budget -> {REPORT.name})")
     return 0

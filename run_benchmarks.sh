@@ -35,11 +35,14 @@ python3 benchmarks/replay_smoke.py || exit 1
 # the repo root (see docs/SERVING.md).
 python3 benchmarks/serve_smoke.py || exit 1
 
-# Sharding gate: a short AF fit under exact-mode sharded execution must
-# be bit-identical to dense (losses, weights, RNG), and a 500-region
-# metro city must train a smoke epoch through the block-sparse blocked
-# path under the per-shard memory budget in less wall-clock than dense.
-# Writes BENCH_SHARD.json at the repo root (see docs/SHARDING.md).
+# Sharding gate: a short AF fit under sharded execution must be
+# bit-identical to dense (losses, weights, RNG), and a 500-region metro
+# city must run a sharded forward bit-identical to dense and train a
+# smoke epoch through the block-sparse batches to the dense epoch's
+# train loss, with each side's stage-1 working set under the memory
+# budget.  Stage 1 collapses empty and repeated OD slices in the dense
+# encoder itself, so both paths run the same code.  Writes
+# BENCH_SHARD.json at the repo root (see docs/SHARDING.md).
 python3 benchmarks/shard_smoke.py || exit 1
 
 # The paper-scale benchmark's own tests (percentile rule, span self

@@ -18,6 +18,7 @@ runs when the op is built (eager and capture), not on replay.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -776,72 +777,135 @@ class GCNNEncoder:
 
 
 class SliceGroups(NamedTuple):
-    """The byte-identical entries of an array's axis 1.
+    """The distinct slices of a node-last input ``x (C, *rows, n)``.
 
-    ``first`` holds each group's first entry, ascending; ``inverse``
-    maps every entry to its group, so ``first[inverse]`` is each
-    entry's representative.
+    Slices are numbered by their flat index into ``rows``.  ``first``
+    holds each group's first slice, ascending; ``inverse`` maps every
+    slice to its group, so ``first[inverse]`` is each slice's
+    representative.  ``distinct`` holds the representatives themselves,
+    ``(C, D, n)`` in ``first`` order.
     """
 
     first: np.ndarray
     inverse: np.ndarray
+    rows: tuple
+    distinct: Optional[np.ndarray] = None
 
     def gather(self, out: np.ndarray) -> np.ndarray:
-        """Per-group rows (axis 1) back to one row per entry."""
-        return np.take(out, self.inverse, axis=1)
+        """Per-group rows ``(K, D, R)`` back to ``(K, *rows, R)``."""
+        return np.take(out, self.inverse, axis=1).reshape(
+            out.shape[:1] + self.rows + out.shape[2:])
 
     def sum_repeats(self, grad: np.ndarray) -> np.ndarray:
-        """Adjoint of :meth:`gather`: per-entry cotangents (axis 1)
-        summed per group — the representative's first, then its
-        repeats in ascending entry order."""
+        """Adjoint of :meth:`gather`: ``(K, *rows, R)`` → ``(K, D, R)``,
+        each group's cotangents summed in slice order — the
+        representative's first, then its repeats ascending (``add.at``
+        is unbuffered and applies its indices in order)."""
+        grad = grad.reshape(grad.shape[:1] + (-1,) + grad.shape[-1:])
         summed = np.take(grad, self.first, axis=1)
-        repeats = self.first[self.inverse] != np.arange(len(self.inverse))
-        for entry in np.flatnonzero(repeats):
-            summed[:, self.inverse[entry]] += grad[:, entry]
+        repeats = np.flatnonzero(
+            self.first[self.inverse] != np.arange(len(self.inverse)))
+        np.add.at(summed, (slice(None), self.inverse[repeats]),
+                  grad[:, repeats])
         return summed
 
 
-def _projection_hash(bits: np.ndarray) -> np.ndarray:
-    """One key per row of ``bits (B, L)`` (unsigned-integer bit
-    patterns): the row's wrap-around sum.  Integer addition is exact in
-    any order, so equal rows always share a key; unequal rows that do
-    (a permutation of the same values) are split by the byte comparison
-    in :func:`group_slices`."""
-    return np.add.reduce(bits, axis=1)
+def _zero_slices(bits: np.ndarray) -> np.ndarray:
+    """Which slices of ``bits (*rows, n, C)`` hold only zero bits, as a
+    flat mask (``-0.0`` is not zero here)."""
+    if bits.strides[-2] == bits.strides[-1] * bits.shape[-1]:
+        # Each slice is one run of memory: reduce it in one pass.
+        nonzero = np.bitwise_or.reduce(bits, axis=(-2, -1)) != 0
+    else:
+        # The node axis is the outer one: OR whole rows first.
+        nonzero = np.bitwise_or.reduce(bits, axis=-2).any(axis=-1)
+    return ~nonzero.ravel()
+
+
+@functools.lru_cache(maxsize=32)
+def _key_weights(n: int, channels: int, dtype: np.dtype) -> np.ndarray:
+    """Fixed random weights for :func:`_slice_keys`, made once per
+    shape and dtype (read-only: every caller shares them)."""
+    weights = np.random.default_rng(0).uniform(1.0, 2.0, (n, channels))
+    weights = weights.astype(dtype)
+    weights.flags.writeable = False
+    return weights
+
+
+def _slice_keys(slices: np.ndarray) -> np.ndarray:
+    """One key per slice of a contiguous ``slices (L, n, C)``: its dot
+    product with fixed random weights.  Every slice runs through the
+    same loop, so byte-identical slices get equal keys."""
+    _, n, channels = slices.shape
+    with np.errstate(all="ignore"):
+        return np.einsum("lnc,nc->l", slices,
+                         _key_weights(n, channels, slices.dtype))
+
+
+def _first_equal(slices: np.ndarray) -> np.ndarray:
+    """For each slice of a contiguous ``slices (L, n, C)``, the first
+    byte-identical one.
+
+    Each slice's key (:func:`_slice_keys`) proposes the first slice with
+    the same key, and the bytes decide.  A slice whose bytes differ from
+    its proposal (a key collision: every ``-0.0``-only slice has key 0)
+    goes round again among the unmatched ones, so every slice ends at
+    its first equal one and no two different slices merge.
+    """
+    count = len(slices)
+    if count < 2:
+        return np.arange(count)
+    keys = _slice_keys(slices)
+    bits = slices.view(f"u{slices.itemsize}").reshape(count, -1)
+    first = np.arange(count)
+    todo = np.arange(count)
+    while todo.size > 1:
+        _, head, key = np.unique(keys[todo], return_index=True,
+                                 return_inverse=True)
+        proposed = todo[head[key]]
+        repeat = proposed != todo
+        todo, proposed = todo[repeat], proposed[repeat]
+        same = (bits[todo] == bits[proposed]).all(axis=1)
+        first[todo[same]] = proposed[same]
+        todo = todo[~same]
+    return first
 
 
 def group_slices(x: np.ndarray) -> Optional[SliceGroups]:
-    """Group the entries of ``x``'s axis 1 by byte-identical content.
+    """Group the byte-identical slices of ``x (C, *rows, n)``.
 
-    Returns ``None`` when no entry repeats.  Keys from
-    :func:`_projection_hash` only propose a merge; every merge is
-    byte-compared, so a key collision never joins two different
-    entries (``-0.0`` and ``+0.0`` stay apart).
+    Every all-zero slice — the bulk of sparse demand — joins the first
+    one, found with one bitwise pass (a ``-0.0`` slice is not zero).
+    The remaining slices are gathered and grouped by content
+    (:func:`_first_equal`), which covers the slices of the tensors that
+    overlapping windows share.  Returns ``None`` when no slice repeats.
     """
-    count = x.shape[1]
+    rows = x.shape[1:-1]
+    count = int(np.prod(rows, dtype=np.int64))
     if count < 2:
         return None
-    rows = np.moveaxis(x, 1, 0)
-    # Each entry's elements in memory order: for a transpose of a
-    # contiguous batch the flattening below is a view, not a copy.
-    order = sorted(range(1, rows.ndim), key=lambda a: -abs(rows.strides[a]))
-    rows = rows.transpose((0, *order)).reshape(count, -1)
-    bits = rows.view(f"u{rows.itemsize}")
-    first, inverse = [], np.empty(count, dtype=np.intp)
-    buckets: dict = {}
-    for entry, key in enumerate(_projection_hash(bits).tolist()):
-        bucket = buckets.setdefault(key, [])
-        for group in bucket:
-            if np.array_equal(bits[first[group]], bits[entry]):
-                break
-        else:
-            group = len(first)
-            first.append(entry)
-            bucket.append(group)
-        inverse[entry] = group
-    if len(first) == count:
+    # Channels last: for a transpose of a contiguous (B, N, N', K) batch
+    # this is the memory order, so each slice gathers as whole runs.
+    slab = np.moveaxis(x, 0, -1)                    # (*rows, n, C)
+    zero = _zero_slices(slab.view(f"u{x.itemsize}"))
+    live = np.flatnonzero(~zero)
+    # One gather serves both the grouping and the distinct slices: the
+    # live slices, then the first zero slice, if any.
+    picks = np.append(live, np.argmax(zero)) if zero.any() else live
+    slices = slab[np.unravel_index(picks, rows)]    # (L, n, C)
+    # Zero slices point at the first zero slice; live ones at their
+    # first equal live slice.
+    rep = np.full(count, picks[-1])
+    rep[live] = live[_first_equal(slices[:live.size])]
+    first = np.flatnonzero(rep == np.arange(count))
+    if first.size == count:
         return None
-    return SliceGroups(np.asarray(first, dtype=np.intp), inverse)
+    group = np.empty(count, dtype=np.intp)
+    group[first] = np.arange(first.size)
+    position = np.searchsorted(live, first)
+    position[zero[first]] = live.size
+    distinct = np.moveaxis(np.take(slices, position, axis=0), -1, 0)
+    return SliceGroups(first, group[rep], rows, distinct)
 
 
 def gcnn_encoder(x: Tensor, encoder: GCNNEncoder) -> Tensor:
@@ -851,12 +915,12 @@ def gcnn_encoder(x: Tensor, encoder: GCNNEncoder) -> Tensor:
     the output is ``(K, *rows, R)``.  Forward and backward are
     :meth:`GCNNEncoder.op` / :meth:`GCNNEncoder.adj_op`.
 
-    Entries of axis 1 that are byte-identical — the tensors that
-    overlapping windows share — are encoded once (:func:`group_slices`,
-    recomputed on every run so a replay follows its batch): ``op`` runs
-    on the distinct entries, its output is gathered back, and the
-    backward sums each group's cotangents before ``adj_op``.  An input
-    that needs its own gradient is not grouped.
+    Repeated slices — those of the tensors that overlapping windows
+    share, and the all-zero ones of sparse demand — are encoded once
+    (:func:`group_slices`, recomputed on every run so a replay follows
+    its batch): ``op`` runs on the distinct slices, its output is
+    gathered back, and the backward sums each group's cotangents before
+    ``adj_op``.  An input that needs its own gradient is not grouped.
     """
     x = _ensure_tensor(x)
     if x.ndim < 3 or x.shape[0] != encoder.in_channels \
@@ -873,7 +937,9 @@ def gcnn_encoder(x: Tensor, encoder: GCNNEncoder) -> Tensor:
         if groups is None:
             out_data, cache = encoder.op(x.data)
             return out_data
-        out_data, cache = encoder.op(np.take(x.data, groups.first, axis=1))
+        out_data, cache = encoder.op(groups.distinct)
+        # The backward needs only the grouping, not the input's copy.
+        groups = groups._replace(distinct=None)
         return groups.gather(out_data)
 
     def backward(grad: np.ndarray) -> None:

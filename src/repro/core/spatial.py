@@ -158,10 +158,9 @@ def sharded_factorize_tensor_batch(factorizer_r: SpatialFactorizer,
                                    execution) -> Tuple[Tensor, Tensor]:
     """Sharded twin of :func:`factorize_tensor_batch`.
 
-    ``execution`` is a :class:`repro.core.shardexec.ShardedExecution`;
-    the R side runs one origin shard's slices at a time over the
-    destination graph, the C side one destination shard's slices over
-    the origin graph.  Same shapes and (in ``"exact"`` mode) bit-
-    identical values/gradients as the dense function.
+    ``execution`` is a :class:`repro.core.shardexec.ShardedExecution`:
+    each side runs through the same encoder node under the plan's checks
+    and a memory budget, so shapes, values and gradients are those of
+    the dense function, bit for bit.
     """
     return execution.factorize(factorizer_r, factorizer_c, tensors)

@@ -151,9 +151,8 @@ class Trainer:
                     f"execution (no set_sharding hook)")
             model.set_sharding(sharding)
             if self.config.engine != "eager":
-                # Sharded forwards re-plan their work per occupancy
-                # pattern; a replay tape would pin the first pattern's
-                # buffer arena, so sharding forces the eager engine.
+                # Sharded execution is only verified under the eager
+                # engine, so sharding forces it.
                 warnings.warn(
                     f"sharded execution forces engine='eager' "
                     f"(requested {self.config.engine!r})",
@@ -169,18 +168,6 @@ class Trainer:
         self.scheduler = StepDecay(self.optimizer,
                                    factor=self.config.decay_factor,
                                    every=self.config.decay_every)
-
-    # ------------------------------------------------------------------
-    def data_parallel_units(self):
-        """The sharded (side, shard) work units of this run's stage 1.
-
-        Empty without sharding.  Each unit owns a disjoint set of slice
-        rows and shares parameters with the rest — see
-        :class:`repro.core.shardexec.DataParallelUnit`.
-        """
-        if self.sharding is None:
-            return []
-        return self.sharding.data_parallel_units()
 
     # ------------------------------------------------------------------
     def fit(self, dataset: WindowDataset, split: Split, horizon: int,
@@ -228,9 +215,7 @@ class Trainer:
              start_epoch=start_epoch, n_train=len(split.train),
              n_val=len(split.val))
         if self.sharding is not None:
-            emit(telemetry, "sharding",
-                 units=len(self.data_parallel_units()),
-                 **self.sharding.describe())
+            emit(telemetry, "sharding", **self.sharding.describe())
         contracts = get_contract_policy()
         engine = None
         if cfg.engine == "replay":

@@ -17,6 +17,8 @@ This module provides a tiny, dependency-free event log:
 Event schema (stable; documented in ``docs/CHECKPOINTING.md``)
 --------------------------------------------------------------
 ``fit_start``     ``epochs, n_train, n_val``
+``sharding``      ``memory_budget_bytes, max_shard_peak_bytes, plan``
+                  (sharded stage 1 only; see ``docs/SHARDING.md``)
 ``epoch``         ``epoch, train_loss, val_loss, lr, grad_norm,``
                   ``seconds, peak_rss_mb`` (grad_norm = mean pre-clip
                   global L2 norm over the epoch's batches)

@@ -68,8 +68,8 @@ def metro_dataset(n_regions: int = 500, n_intervals: int = 10,
     Hundreds of regions, a bounded number of 15-minute intervals
     (generation is limited to ``n_intervals`` so a 500+-region smoke
     run stays cheap).  Even thousands of trips per interval leave the
-    vast majority of the ``N²`` OD slices empty — the sparsity the
-    zero-slice collapse in :mod:`repro.core.shardexec` exploits and
+    vast majority of the ``N²`` OD slices empty — the sparsity stage 1's
+    slice grouping (``repro.autodiff.ops.group_slices``) exploits and
     :class:`repro.histograms.blocksparse.BlockSparseODTensor` stores.
     """
     city = metro_like(seed=seed, n_regions=n_regions)

@@ -89,11 +89,39 @@ class TestAdvancedFramework:
 
 
 class TestRepeatedTensorGrouping:
-    """Stage 1 encodes each distinct history tensor once per batch.
-    Switching the grouping off (every tensor its own group) must give
-    the same training run up to the reordered gradient sum of repeats:
-    loss curves within 1e-12 relative, final weights within
-    ``rtol=1e-10`` (relative to each array's largest entry)."""
+    """Stage 1 encodes each distinct slice once per batch.  Switching
+    the grouping off (every slice its own group) must give the same
+    training run up to the reordered gradient sum of repeats: loss
+    curves within 1e-12 relative, final weights within ``rtol=1e-10``
+    (relative to each array's largest entry)."""
+
+    def test_encoder_op_sees_exactly_the_distinct_slices(self, model,
+                                                         rng, monkeypatch):
+        history = rng.uniform(size=(2, 3, 10, 12, 3)) \
+            * (rng.uniform(size=(2, 3, 10, 12, 1)) < 0.2)
+        history[1, 0] = history[0, 2]           # a shared tensor
+        history[0, 1, 4] = -0.0                 # a -0.0-only origin slice
+        seen = {}
+
+        def spy(side, op):
+            def run(x):
+                seen[side] = x.shape[1]
+                return op(x)
+            return run
+
+        for side in ("r", "c"):
+            encoder = getattr(model, f"factor_{side}").encoder
+            monkeypatch.setattr(encoder, "op", spy(side, encoder.op))
+        model.eval()
+        model(history, horizon=1)
+        tensors = history.reshape(-1, 10, 12, 3)
+        origin = tensors.reshape(-1, 12 * 3)
+        dest = tensors.transpose(0, 2, 1, 3).reshape(-1, 10 * 3)
+        expected = {side: len({row.tobytes() for row in rows})
+                    for side, rows in (("r", origin), ("c", dest))}
+        assert seen == expected
+        # Fewer than the distinct tensors' slices: zero slices collapse.
+        assert expected["r"] < 5 * 10 and expected["c"] < 5 * 12
 
     def _fit(self, windows, split, proximity, n_buckets):
         model = AdvancedFramework(proximity, proximity, n_buckets,
@@ -116,7 +144,7 @@ class TestRepeatedTensorGrouping:
         def counting(x):
             groups = group(x)
             found.append(0 if groups is None
-                         else x.shape[1] - len(groups.first))
+                         else len(groups.inverse) - len(groups.first))
             return groups
 
         monkeypatch.setattr(ops, "group_slices", counting)

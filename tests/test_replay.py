@@ -322,7 +322,7 @@ class TestTapeCoverage:
         model, loss_fn = _af_parts()
         plan = plan_shards(model.origin_weights, n_shards=2,
                            hops=chebyshev_hops([3, 3]))
-        model.set_sharding(ShardedExecution(plan, mode="exact"))
+        model.set_sharding(ShardedExecution(plan))
         self._capture_step(model, loss_fn, created)
 
     def test_bf_training_step(self, created):
